@@ -141,3 +141,35 @@ func BenchmarkParallelSolve(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSolveN4Level measures one serial n=4 FACT decision on a
+// freshly built R_A(I) level: the level's facet list, computed on first
+// use, and the map search. Building the level is excluded from timing,
+// so the number tracks the facet scan and the search alone.
+func BenchmarkSolveN4Level(b *testing.B) {
+	u := chromatic.NewUniverse(4)
+	ra, err := affine.BuildRAForAdversary(u, adversary.TResilient(4, 1), affine.DefaultVariant)
+	if err != nil {
+		b.Fatal(err)
+	}
+	task := tasks.KSetConsensus(4, 2)
+	sig := ra.Signature()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cache := chromatic.NewTowerCache()
+		ct := cache.Acquire(sig, task.Input, 1)
+		if err := ct.EnsureHeightTables(ra, 1); err != nil {
+			b.Fatal(err)
+		}
+		ct.Release()
+		b.StartTimer()
+		res, err := solver.SolveAffineWith(task, ra, 1, solver.Options{Workers: 1, Cache: cache})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Solvable {
+			b.Fatal("want solvable")
+		}
+	}
+}

@@ -72,10 +72,16 @@ const parallelRARows = 64
 // buildRAFacetRows applies the Definition 9 facet filter row by row:
 // rows[i] holds the facets with R1 = parts[i], each row in r2
 // enumeration order. workers <= 0 selects one per CPU; small domains
-// and workers == 1 take the serial path. Every worker builds its own
-// r1Context, so rows share no state and the concatenated output is
-// byte-identical across worker counts.
+// and workers == 1 take the serial path. α is first copied, serially,
+// into a dense table over the subsets of the ground set (an adversary's
+// Alpha fills a shared memo, which concurrent rows must not write).
+// Every worker builds its own r1Context and reads only that table, so
+// rows share no state and the concatenated output is byte-identical
+// across worker counts.
 func buildRAFacetRows(alpha adversary.AlphaFunc, parts []procs.OrderedPartition, variant Def9Variant, workers int) [][]chromatic.Run2 {
+	if len(parts) > 0 {
+		alpha = alphaTable(alpha, parts[0].Ground())
+	}
 	rows := make([][]chromatic.Run2, len(parts))
 	row := func(i int) {
 		r1 := parts[i]
@@ -116,6 +122,17 @@ func buildRAFacetRows(alpha adversary.AlphaFunc, parts []procs.OrderedPartition,
 	}
 	wg.Wait()
 	return rows
+}
+
+// alphaTable evaluates α once on every subset of ground (a full set
+// {p_1..p_n}) and returns a pure read of the resulting dense table.
+func alphaTable(alpha adversary.AlphaFunc, ground procs.Set) adversary.AlphaFunc {
+	table := make([]int8, int(ground)+1)
+	procs.ForEachSubset(ground, func(p procs.Set) bool {
+		table[p] = int8(alpha(p))
+		return true
+	})
+	return func(p procs.Set) int { return int(table[p]) }
 }
 
 // BuildRAForAdversary is a convenience wrapper deriving α from A.

@@ -15,8 +15,8 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/procs"
 )
@@ -56,17 +56,22 @@ func (s Simplex) Dim() int { return len(s) - 1 }
 
 // Key returns a canonical byte-string key for map usage.
 func (s Simplex) Key() string {
-	buf := make([]byte, 4*len(s))
-	for i, v := range s {
-		binary.BigEndian.PutUint32(buf[4*i:], uint32(v))
+	return string(appendKey(make([]byte, 0, 4*len(s)), s))
+}
+
+// appendKey appends the Key bytes of s to buf. Probing a map with
+// string(appendKey(stack[:0], s)) over a stack array allocates nothing.
+func appendKey(buf []byte, s Simplex) []byte {
+	for _, v := range s {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(v))
 	}
-	return string(buf)
+	return buf
 }
 
 // Contains reports whether v is a vertex of s.
 func (s Simplex) Contains(v VertexID) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
+	_, ok := slices.BinarySearch(s, v)
+	return ok
 }
 
 // IsFaceOf reports whether s ⊆ t.
@@ -86,7 +91,9 @@ func (s Simplex) IsFaceOf(t Simplex) bool {
 
 // Union returns the canonical union of two simplices.
 func (s Simplex) Union(t Simplex) Simplex {
-	return NewSimplex(append(append(Simplex{}, s...), t...)...)
+	out := append(append(make(Simplex, 0, len(s)+len(t)), s...), t...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Intersect returns the canonical intersection of two simplices.
@@ -149,7 +156,10 @@ type Complex struct {
 	verts     map[VertexID]Vertex
 	simplices map[string]Simplex
 
-	facetCache []Simplex // invalidated on mutation
+	// facetCache is filled under facetMu by Facets and dropped by the
+	// mutators, which must not run concurrently with readers.
+	facetMu    sync.Mutex
+	facetCache []Simplex
 }
 
 // NewComplex creates an empty complex whose vertex colors must lie in
@@ -204,15 +214,7 @@ func (c *Complex) AddSimplex(vs ...VertexID) error {
 	}
 	n := len(s)
 	var stack [64]byte
-	var buf []byte
-	if 4*n <= len(stack) {
-		buf = stack[:0]
-	} else {
-		buf = make([]byte, 0, 4*n)
-	}
-	for _, v := range s {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(v))
-	}
+	buf := appendKey(stack[:0], s)
 	if _, ok := c.simplices[string(buf)]; ok {
 		return nil
 	}
@@ -247,9 +249,11 @@ func (c *Complex) Has(vs ...VertexID) bool {
 	return ok
 }
 
-// HasSimplex reports whether the canonical simplex s belongs to c.
+// HasSimplex reports whether the canonical simplex s belongs to c. The
+// probe key lives on the stack, so the check allocates nothing.
 func (c *Complex) HasSimplex(s Simplex) bool {
-	_, ok := c.simplices[s.Key()]
+	var stack [64]byte
+	_, ok := c.simplices[string(appendKey(stack[:0], s))]
 	return ok
 }
 
@@ -265,7 +269,7 @@ func (c *Complex) VertexIDs() []VertexID {
 	for id := range c.verts {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -298,31 +302,55 @@ func (c *Complex) Dimension() int {
 }
 
 // Facets returns the facets: simplices not strictly contained in any
-// other simplex of the complex.
+// other simplex of the complex, in Simplices order (by dimension, then
+// lexicographically).
+//
+// The list is computed once and cached until the next mutation. Every
+// caller shares the cached slice, so callers must treat it and its
+// simplices as read-only; concurrent callers on a complex that is no
+// longer mutated are safe.
 func (c *Complex) Facets() []Simplex {
-	if c.facetCache != nil {
-		return c.facetCache
+	c.facetMu.Lock()
+	defer c.facetMu.Unlock()
+	if c.facetCache == nil {
+		c.facetCache = c.computeFacets()
 	}
-	all := c.Simplices()
-	// A simplex is a facet iff no single-vertex extension is a simplex.
-	ids := c.VertexIDs()
-	var facets []Simplex
-	for _, s := range all {
-		isFacet := true
-		for _, v := range ids {
-			if s.Contains(v) {
-				continue
-			}
-			if c.HasSimplex(s.Union(Simplex{v})) {
-				isFacet = false
-				break
+	return c.facetCache
+}
+
+// computeFacets selects the facets. The complex is inclusion-closed, so
+// "no one-vertex extension is a simplex" is the same as "no simplex one
+// dimension up has it as a face": one pass marks the codimension-1
+// faces of every simplex (Σ|σ| probes with stack keys) and the unmarked
+// simplices are the facets, sorted into Simplices order. The index
+// reuses the complex's own key strings.
+func (c *Complex) computeFacets() []Simplex {
+	sims := make([]Simplex, 0, len(c.simplices))
+	index := make(map[string]int32, len(c.simplices))
+	for k, s := range c.simplices {
+		index[k] = int32(len(sims))
+		sims = append(sims, s)
+	}
+	covered := make([]bool, len(sims))
+	var stack [64]byte
+	for _, s := range sims {
+		if len(s) < 2 {
+			continue
+		}
+		for drop := range s {
+			key := appendKey(appendKey(stack[:0], s[:drop]), s[drop+1:])
+			if i, ok := index[string(key)]; ok {
+				covered[i] = true
 			}
 		}
-		if isFacet {
+	}
+	var facets []Simplex
+	for i, s := range sims {
+		if !covered[i] {
 			facets = append(facets, s)
 		}
 	}
-	c.facetCache = facets
+	sortSimplices(facets)
 	return facets
 }
 
@@ -427,15 +455,10 @@ func (c *Complex) SubcomplexOf(other *Complex) bool {
 }
 
 func sortSimplices(ss []Simplex) {
-	sort.Slice(ss, func(i, j int) bool {
-		if len(ss[i]) != len(ss[j]) {
-			return len(ss[i]) < len(ss[j])
+	slices.SortFunc(ss, func(a, b Simplex) int {
+		if len(a) != len(b) {
+			return len(a) - len(b)
 		}
-		for k := range ss[i] {
-			if ss[i][k] != ss[j][k] {
-				return ss[i][k] < ss[j][k]
-			}
-		}
-		return false
+		return slices.Compare(a, b)
 	})
 }

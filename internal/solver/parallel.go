@@ -11,10 +11,12 @@ package solver
 // decisions and witnesses are identical for every worker count. (The
 // budget itself is per subtree, so an instance the serial budget cannot
 // decide may still be decided when split — see Options.NodeLimit.) A
-// branch is cancelled early once a lower-indexed branch has succeeded;
-// branches above a witness can never change the result.
+// branch is cancelled early once a lower-indexed branch has found a
+// witness or exhausted its budget: the result is the first of those in
+// serial order, so branches above either can never change it.
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -26,29 +28,23 @@ import (
 const branchFactor = 4
 
 // branch is one node of the search frontier: a partial assignment with
-// the forward-checked domains that remain under it.
+// the forward-checked domains that remain under it, both indexed by
+// VertexID.
 type branch struct {
-	assign  sc.Map
-	domains map[sc.VertexID][]sc.VertexID
+	assign  []sc.VertexID
+	domains [][]sc.VertexID
 	// solved marks a complete assignment discovered during expansion.
 	solved bool
 }
 
 // clone copies the branch state. Domain value slices are shared: the
-// searcher never mutates them in place (pruning allocates fresh slices).
+// searcher never writes them once set (pruning carves new ones).
 func (b *branch) clone() *branch {
-	assign := make(sc.Map, len(b.assign)+1)
-	for v, o := range b.assign {
-		assign[v] = o
-	}
-	domains := make(map[sc.VertexID][]sc.VertexID, len(b.domains))
-	for v, dom := range b.domains {
-		domains[v] = dom
-	}
-	return &branch{assign: assign, domains: domains}
+	return &branch{assign: slices.Clone(b.assign), domains: slices.Clone(b.domains)}
 }
 
-// winnerState tracks the lowest branch index that found a witness.
+// winnerState tracks the lowest branch index that found a witness or
+// exhausted its node budget.
 type winnerState struct {
 	idx atomic.Int64
 }
@@ -59,7 +55,8 @@ func newWinnerState(n int) *winnerState {
 	return w
 }
 
-// beaten reports whether a lower-indexed branch has already won.
+// beaten reports whether a lower-indexed branch has already decided the
+// result.
 func (w *winnerState) beaten(branch int) bool {
 	return w.idx.Load() < int64(branch)
 }
@@ -79,7 +76,7 @@ func (w *winnerState) record(branch int) {
 // level of the serial search. A branch with no unassigned variables is
 // marked solved and gets no children.
 func expandBranch(ctx *searchCtx, br *branch) []*branch {
-	s := &searcher{ctx: ctx, domains: br.domains, assign: br.assign}
+	s := newSearcher(ctx, br)
 	v, any := s.pickVar()
 	if !any {
 		br.solved = true
@@ -87,20 +84,12 @@ func expandBranch(ctx *searchCtx, br *branch) []*branch {
 	}
 	var kids []*branch
 	for _, o := range br.domains[v] {
-		ok := true
-		for _, fi := range ctx.vertexFacets[v] {
-			if !s.consistent(fi, v, o) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if !s.admits(v, o) {
 			continue
 		}
 		child := br.clone()
 		child.assign[v] = o
-		cs := &searcher{ctx: ctx, domains: child.domains, assign: child.assign}
-		if _, alive := cs.forwardCheck(v); alive {
+		if newSearcher(ctx, child).forwardCheck(v) {
 			kids = append(kids, child)
 		}
 	}
@@ -146,16 +135,16 @@ func expandFrontier(ctx *searchCtx, root *branch, target int) []*branch {
 }
 
 // searchParallel fans the frontier out over the worker pool and returns
-// the lowest-indexed witness — the serial search's answer.
-func searchParallel(ctx *searchCtx, root *branch, workers int) (sc.Map, bool, error) {
+// the lowest-indexed witness assignment — the serial search's answer.
+func searchParallel(ctx *searchCtx, root *branch, workers int) ([]sc.VertexID, bool, error) {
 	frontier := expandFrontier(ctx, root, workers*branchFactor)
 	if len(frontier) == 0 {
 		return nil, false, nil
 	}
 	type outcome struct {
-		m   sc.Map
-		ok  bool
-		err error
+		assign []sc.VertexID
+		ok     bool
+		err    error
 	}
 	results := make([]outcome, len(frontier))
 	winner := newWinnerState(len(frontier))
@@ -175,26 +164,21 @@ func searchParallel(ctx *searchCtx, root *branch, workers int) (sc.Map, bool, er
 				}
 				br := frontier[i]
 				if br.solved {
-					results[i] = outcome{m: br.assign, ok: true}
+					results[i] = outcome{assign: br.assign, ok: true}
 					winner.record(i)
 					continue
 				}
-				s := &searcher{
-					ctx:     ctx,
-					domains: br.domains,
-					assign:  br.assign,
-					limit:   ctx.limit,
-					winner:  winner,
-					branch:  i,
-				}
+				s := newSearcher(ctx, br)
+				s.winner, s.branch = winner, i
 				solved, err := s.solve()
 				switch {
 				case err == errCancelled:
-					// A lower-indexed branch won; this subtree is moot.
+					// A lower-indexed branch decided; this subtree is moot.
 				case err != nil:
 					results[i] = outcome{err: err}
+					winner.record(i)
 				case solved:
-					results[i] = outcome{m: s.assign, ok: true}
+					results[i] = outcome{assign: s.assign, ok: true}
 					winner.record(i)
 				}
 			}
@@ -208,7 +192,7 @@ func searchParallel(ctx *searchCtx, root *branch, workers int) (sc.Map, bool, er
 			return nil, false, results[i].err
 		}
 		if results[i].ok {
-			return results[i].m, true, nil
+			return results[i].assign, true, nil
 		}
 	}
 	return nil, false, nil

@@ -20,7 +20,7 @@ package solver
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -192,9 +192,19 @@ const defaultNodeLimit = 4_000_000
 // complex of the tower, carried by Δ, using MRV backtracking with
 // forward checking over facet constraints — split across workers above
 // a deterministic frontier.
+//
+// The search state is indexed by the level's VertexIDs, which the
+// subdivision engine assigns densely from 0. The facet list is the
+// level complex's shared cache, read in its own order: forward checking
+// intersects per-facet filters and MRV picks by (domain size, vertex
+// ID), so the search tree does not depend on facet order.
 func searchMap(tower *chromatic.Tower, level int, task *tasks.Task, workers, limit int) (sc.Map, bool, error) {
 	top := tower.LevelComplex(level)
 	vertices := top.VertexIDs()
+	size := 0
+	if len(vertices) > 0 {
+		size = int(vertices[len(vertices)-1]) + 1
+	}
 
 	// Initial domains: same color, vertex-level Δ.
 	outByColor := make(map[int][]sc.VertexID)
@@ -202,7 +212,7 @@ func searchMap(tower *chromatic.Tower, level int, task *tasks.Task, workers, lim
 		ov, _ := task.Output.Vertex(o)
 		outByColor[ov.Color] = append(outByColor[ov.Color], o)
 	}
-	domains := make(map[sc.VertexID][]sc.VertexID, len(vertices))
+	domains := make([][]sc.VertexID, size)
 	for _, v := range vertices {
 		vv, _ := top.Vertex(v)
 		carrier := tower.RootCarrierAt(level, v)
@@ -219,44 +229,58 @@ func searchMap(tower *chromatic.Tower, level int, task *tasks.Task, workers, lim
 	}
 
 	facets := top.Facets()
-	sort.Slice(facets, func(i, j int) bool { return facets[i].Key() < facets[j].Key() })
-	vertexFacets := make(map[sc.VertexID][]int)
+	vertexFacets := make([][]int, size)
+	facetCarriers := make([]sc.Simplex, len(facets))
 	for fi, f := range facets {
 		for _, v := range f {
 			vertexFacets[v] = append(vertexFacets[v], fi)
 		}
-	}
-	facetCarriers := make([]sc.Simplex, len(facets))
-	for i, f := range facets {
-		facetCarriers[i] = tower.RootCarrierOfAt(level, f)
+		facetCarriers[fi] = tower.RootCarrierOfAt(level, f)
 	}
 
+	assign := make([]sc.VertexID, size)
+	for v := range assign {
+		assign[v] = unassigned
+	}
 	ctx := &searchCtx{
 		task:          task,
+		vertices:      vertices,
 		facets:        facets,
 		facetCarriers: facetCarriers,
 		vertexFacets:  vertexFacets,
 		limit:         limit,
 	}
-	root := &branch{
-		assign:  make(sc.Map, len(vertices)),
-		domains: domains,
-	}
+	root := &branch{assign: assign, domains: domains}
+	var (
+		witness []sc.VertexID
+		ok      bool
+		err     error
+	)
 	if workers <= 1 {
-		return searchSerial(ctx, root)
-	}
-	return searchParallel(ctx, root, workers)
-}
-
-// searchSerial runs the reference backtracker on one branch.
-func searchSerial(ctx *searchCtx, br *branch) (sc.Map, bool, error) {
-	s := &searcher{ctx: ctx, domains: br.domains, assign: br.assign, limit: ctx.limit}
-	ok, err := s.solve()
-	if err != nil {
-		return nil, false, err
+		witness, ok, err = searchSerial(ctx, root)
+	} else {
+		witness, ok, err = searchParallel(ctx, root, workers)
 	}
 	if !ok {
-		return nil, false, nil
+		return nil, false, err
+	}
+	m := make(sc.Map, len(vertices))
+	for _, v := range vertices {
+		m[v] = witness[v]
+	}
+	return m, true, nil
+}
+
+// unassigned marks a vertex without a value in a searcher's assignment.
+const unassigned sc.VertexID = -1
+
+// searchSerial runs the reference backtracker on one branch and returns
+// the complete assignment when it finds one.
+func searchSerial(ctx *searchCtx, br *branch) ([]sc.VertexID, bool, error) {
+	s := newSearcher(ctx, br)
+	ok, err := s.solve()
+	if err != nil || !ok {
+		return nil, false, err
 	}
 	return s.assign, true, nil
 }
@@ -264,107 +288,146 @@ func searchSerial(ctx *searchCtx, br *branch) (sc.Map, bool, error) {
 // searchCtx is the read-only state shared by all search branches.
 type searchCtx struct {
 	task          *tasks.Task
-	facets        []sc.Simplex
+	vertices      []sc.VertexID // the level's vertices, ascending
+	facets        []sc.Simplex  // the level complex's shared facet list
 	facetCarriers []sc.Simplex
-	vertexFacets  map[sc.VertexID][]int
+	vertexFacets  [][]int // indexed by VertexID
 	limit         int
 }
 
 // searcher is the forward-checking backtracker state of one branch.
+// domains and assign are indexed by VertexID.
 type searcher struct {
 	ctx     *searchCtx
-	domains map[sc.VertexID][]sc.VertexID
-	assign  sc.Map
+	domains [][]sc.VertexID
+	assign  []sc.VertexID
+	img     []sc.VertexID // scratch facet image for consistent
+	trail   []removal     // pruned domains, for undo
+	pool    []sc.VertexID // backing store of pruned domains
 	nodes   int
 	limit   int
 
 	// Parallel-search coordination: the branch aborts once a
-	// lower-indexed branch has found a witness.
+	// lower-indexed branch has found a witness or exhausted its budget.
 	winner *winnerState
 	branch int
 }
 
+// newSearcher starts a backtracker on the branch's state (shared, not
+// copied).
+func newSearcher(ctx *searchCtx, br *branch) *searcher {
+	return &searcher{
+		ctx:     ctx,
+		domains: br.domains,
+		assign:  br.assign,
+		img:     make([]sc.VertexID, 0, ctx.task.N),
+		limit:   ctx.limit,
+	}
+}
+
 // consistent reports whether giving value o to vertex w keeps the facet
 // image a Δ-allowed simplex of the output, given current assignments.
+// The image is built in the searcher's scratch buffer, which Δ sees only
+// for the duration of the call.
 func (s *searcher) consistent(fi int, w sc.VertexID, o sc.VertexID) bool {
-	f := s.ctx.facets[fi]
-	img := make([]sc.VertexID, 0, len(f))
-	for _, x := range f {
+	img := s.img[:0]
+	for _, x := range s.ctx.facets[fi] {
 		if x == w {
 			img = append(img, o)
-			continue
-		}
-		if ox, ok := s.assign[x]; ok {
+		} else if ox := s.assign[x]; ox != unassigned {
 			img = append(img, ox)
 		}
 	}
-	simplex := sc.NewSimplex(img...)
-	if !s.ctx.task.Output.HasSimplex(simplex) {
+	slices.Sort(img)
+	img = slices.Compact(img)
+	s.img = img
+	if !s.ctx.task.Output.HasSimplex(img) {
 		return false
 	}
-	return s.ctx.task.SimplexAllowed(s.ctx.facetCarriers[fi], simplex)
+	return s.ctx.task.SimplexAllowed(s.ctx.facetCarriers[fi], img)
 }
 
-// restrictions recorded for undo.
+// removal records a pruned domain for undo.
 type removal struct {
 	v   sc.VertexID
 	old []sc.VertexID
 }
 
-// forwardCheck prunes the domains of unassigned neighbors of v. It
-// returns the undo trail and whether all domains stayed non-empty.
-func (s *searcher) forwardCheck(v sc.VertexID) ([]removal, bool) {
-	var trail []removal
+// mark is an undo point: the depths of the searcher's trail and value
+// pool.
+type mark struct{ trail, pool int }
+
+// forwardCheck prunes the domains of unassigned neighbors of v, pushing
+// the replaced domains on the trail, and reports whether all domains
+// stayed non-empty. Pruned domains are carved, capacity-capped, from
+// the searcher's value pool; a domain slice is never written once
+// carved, so branches may share them.
+func (s *searcher) forwardCheck(v sc.VertexID) bool {
 	for _, fi := range s.ctx.vertexFacets[v] {
 		for _, w := range s.ctx.facets[fi] {
-			if w == v {
-				continue
-			}
-			if _, ok := s.assign[w]; ok {
+			if w == v || s.assign[w] != unassigned {
 				continue
 			}
 			dom := s.domains[w]
-			kept := dom[:0:0]
+			start := len(s.pool)
 			for _, o := range dom {
 				if s.consistent(fi, w, o) {
-					kept = append(kept, o)
+					s.pool = append(s.pool, o)
 				}
 			}
-			if len(kept) != len(dom) {
-				trail = append(trail, removal{v: w, old: dom})
-				s.domains[w] = kept
-				if len(kept) == 0 {
-					return trail, false
-				}
+			if len(s.pool)-start == len(dom) {
+				s.pool = s.pool[:start]
+				continue
+			}
+			s.trail = append(s.trail, removal{v: w, old: dom})
+			s.domains[w] = s.pool[start:len(s.pool):len(s.pool)]
+			if len(s.domains[w]) == 0 {
+				return false
 			}
 		}
 	}
-	return trail, true
+	return true
 }
 
-func (s *searcher) undo(trail []removal) {
-	for i := len(trail) - 1; i >= 0; i-- {
-		s.domains[trail[i].v] = trail[i].old
+// undo restores every domain pruned since m and releases the pool
+// space carved since then.
+func (s *searcher) undo(m mark) {
+	for i := len(s.trail) - 1; i >= m.trail; i-- {
+		s.domains[s.trail[i].v] = s.trail[i].old
 	}
+	s.trail = s.trail[:m.trail]
+	s.pool = s.pool[:m.pool]
 }
 
-// pickVar selects the unassigned vertex with the smallest domain (MRV).
+// pickVar selects the unassigned vertex with the smallest domain (MRV),
+// the lowest vertex ID among ties.
 func (s *searcher) pickVar() (sc.VertexID, bool) {
 	var best sc.VertexID
 	bestSize := -1
-	for v, dom := range s.domains {
-		if _, ok := s.assign[v]; ok {
+	for _, v := range s.ctx.vertices {
+		if s.assign[v] != unassigned {
 			continue
 		}
-		if bestSize < 0 || len(dom) < bestSize || (len(dom) == bestSize && v < best) {
-			best, bestSize = v, len(dom)
+		if n := len(s.domains[v]); bestSize < 0 || n < bestSize {
+			best, bestSize = v, n
 		}
 	}
 	return best, bestSize >= 0
 }
 
+// admits reports whether value o for v is consistent with v's own facets
+// under the current assignment.
+func (s *searcher) admits(v, o sc.VertexID) bool {
+	for _, fi := range s.ctx.vertexFacets[v] {
+		if !s.consistent(fi, v, o) {
+			return false
+		}
+	}
+	return true
+}
+
 // errCancelled aborts a parallel branch beaten by a lower-indexed
-// witness; it never escapes to callers of the solver API.
+// branch; it never escapes to callers of the solver API.
 var errCancelled = errors.New("solver: branch cancelled")
 
 func (s *searcher) solve() (bool, error) {
@@ -379,22 +442,13 @@ func (s *searcher) solve() (bool, error) {
 	if s.winner != nil && s.winner.beaten(s.branch) {
 		return false, errCancelled
 	}
-	dom := s.domains[v]
-	for _, o := range dom {
-		// Check v's own facets against already-assigned vertices.
-		ok := true
-		for _, fi := range s.ctx.vertexFacets[v] {
-			if !s.consistent(fi, v, o) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+	for _, o := range s.domains[v] {
+		if !s.admits(v, o) {
 			continue
 		}
 		s.assign[v] = o
-		trail, alive := s.forwardCheck(v)
-		if alive {
+		m := mark{trail: len(s.trail), pool: len(s.pool)}
+		if s.forwardCheck(v) {
 			solved, err := s.solve()
 			if err != nil {
 				return false, err
@@ -403,8 +457,8 @@ func (s *searcher) solve() (bool, error) {
 				return true, nil
 			}
 		}
-		s.undo(trail)
-		delete(s.assign, v)
+		s.undo(m)
+		s.assign[v] = unassigned
 	}
 	return false, nil
 }

@@ -148,7 +148,8 @@ func TestSolveValidation(t *testing.T) {
 // resolve instantly (k = 3 trivially, and k = n is always a valid map);
 // the k = 2 Sperner impossibility is a global parity obstruction that
 // the bounded search reports as undecided (ErrSearchLimit) rather than
-// deciding incorrectly — the mechanism this test pins.
+// deciding incorrectly — the mechanism this test pins, under a small
+// node limit at 1 and 8 workers and then under the default limit.
 func TestWaitFreeKSetConsensusBounds(t *testing.T) {
 	triv, err := Solve(tasks.KSetConsensus(3, 3), chromatic.FullChr2Membership, 1)
 	if err != nil {
@@ -156,6 +157,13 @@ func TestWaitFreeKSetConsensusBounds(t *testing.T) {
 	}
 	if !triv.Solvable {
 		t.Fatalf("3-set consensus must be trivially solvable")
+	}
+	for _, workers := range []int{1, 8} {
+		_, err := SolveTables(tasks.KSetConsensus(3, 2), chromatic.FullChr2Tables, 1,
+			Options{Workers: workers, NodeLimit: 20_000})
+		if !errors.Is(err, ErrSearchLimit) {
+			t.Fatalf("workers=%d: want ErrSearchLimit under a 20000-node limit, got %v", workers, err)
+		}
 	}
 	if testing.Short() {
 		t.Skip("skipping Sperner search-limit probe in -short mode")

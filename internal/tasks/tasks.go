@@ -20,7 +20,8 @@ import (
 //   - SimplexAllowed(σ, img): may the simplex img (already a simplex of
 //     Output, possibly partial) be jointly decided by processes whose
 //     combined carrier is σ? It must be monotone: shrinking img or
-//     growing σ cannot turn an allowed pair into a forbidden one.
+//     growing σ cannot turn an allowed pair into a forbidden one. The
+//     solver passes img in a reused buffer, so it must not be retained.
 //
 // For such Δ, a vertex map is carried by Δ iff every vertex satisfies
 // VertexAllowed and every facet image satisfies SimplexAllowed — the
