@@ -930,7 +930,7 @@ func (s *Summary) Accumulate(e *Entry) {
 	}
 	if e.Fair {
 		s.Fair += w
-		if e.Setcon < len(s.SetconHist) {
+		if e.Setcon >= 0 && e.Setcon < len(s.SetconHist) {
 			s.SetconHist[e.Setcon] += w
 		}
 	}

@@ -16,14 +16,20 @@ import (
 
 // benchStore builds an n=4 orbit store once per benchmark run.
 func benchStore(b *testing.B) *Store {
+	return benchStoreOf(b, census.Options{Orbits: true})
+}
+
+// benchStoreOf merges an n=4 census sweep into a fresh store with
+// default-sized blocks.
+func benchStoreOf(b *testing.B, opts census.Options) *Store {
 	b.Helper()
 	dir := b.TempDir()
-	path := filepath.Join(dir, "orbit.jsonl")
+	path := filepath.Join(dir, "shard.jsonl")
 	sink, err := census.NewJSONLSink(path)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := census.Stream(4, census.Options{Orbits: true}, sink); err != nil {
+	if _, err := census.Stream(4, opts, sink); err != nil {
 		b.Fatal(err)
 	}
 	sink.Close()
@@ -50,6 +56,26 @@ func BenchmarkCensusStoreLookup(b *testing.B) {
 		idx := uint64(i*2654435761) % total
 		if _, src, err := st.Lookup(idx, orbits); err != nil || src == LookupMiss {
 			b.Fatalf("lookup %d: src=%v err=%v", idx, src, err)
+		}
+	}
+}
+
+// BenchmarkCensusStoreColdLookup measures uniform point queries over
+// the full n=4 domain's store: 128 blocks through the 16-block cache,
+// so most lookups re-inflate a block and probe it. The orbit store of
+// the benchmarks above fits the cache and never takes this path.
+func BenchmarkCensusStoreColdLookup(b *testing.B) {
+	st := benchStoreOf(b, census.Options{})
+	if blocks := st.Stats().Blocks; blocks <= blockCacheSize {
+		b.Fatalf("%d blocks fit the %d-block cache", blocks, blockCacheSize)
+	}
+	total := adversary.CensusSize(4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx := uint64(i*2654435761) % total
+		if _, ok, err := st.Get(idx); err != nil || !ok {
+			b.Fatalf("get %d: ok=%v err=%v", idx, ok, err)
 		}
 	}
 }

@@ -1,0 +1,226 @@
+package store
+
+// Fuzz targets for the store's on-disk formats: the manifest with its
+// data file, and a single block payload. Both check the same property:
+// no input panics, and every failed read wraps ErrCorrupt. Seed
+// corpora live under testdata/fuzz/; the targets add real n=3 stores
+// as further seeds.
+
+import (
+	"bytes"
+	"compress/gzip"
+	"encoding/json"
+	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"repro/internal/adversary"
+	"repro/internal/census"
+)
+
+// seedStore builds a small n=3 store and returns its manifest and data
+// bytes.
+func seedStore(f *testing.F, opts census.Options, blockEntries int) (man, data []byte) {
+	f.Helper()
+	dir := f.TempDir()
+	path := filepath.Join(dir, "shard.jsonl")
+	sink, err := census.NewJSONLSink(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := census.Stream(3, opts, sink); err != nil {
+		f.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		f.Fatal(err)
+	}
+	st, err := Create(filepath.Join(dir, "store"), 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.Merge([]string{path}, MergeOptions{BlockEntries: blockEntries}); err != nil {
+		f.Fatal(err)
+	}
+	if man, err = os.ReadFile(filepath.Join(dir, "store", manifestName)); err != nil {
+		f.Fatal(err)
+	}
+	if data, err = os.ReadFile(filepath.Join(dir, "store", st.man.DataFile)); err != nil {
+		f.Fatal(err)
+	}
+	return man, data
+}
+
+// checkCorrupt fails the fuzz run on a read error that is not
+// corruption.
+func checkCorrupt(t *testing.T, op string, err error) {
+	t.Helper()
+	if err != nil && !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("%s: %v, want nil or ErrCorrupt", op, err)
+	}
+}
+
+// exerciseStore runs every read path over an open store: Get across
+// the domain, LoadPresence, a paged Range walk and the deep check.
+// Verify's semantic spot checks re-derive entries, which for solve
+// stores or large n can run for as long as the fuzzed entries ask, so
+// those get the physical pass only.
+func exerciseStore(t *testing.T, st *Store) {
+	t.Helper()
+	domain := adversary.CensusSize(st.N())
+	for i := uint64(0); i < 64; i++ {
+		_, _, err := st.Get(i * (domain / 64))
+		checkCorrupt(t, "Get", err)
+	}
+	checkCorrupt(t, "LoadPresence", st.LoadPresence())
+	for from, more := uint64(0), true; more; {
+		page, err := st.Range(from, domain, 64)
+		checkCorrupt(t, "Range", err)
+		if err != nil {
+			break
+		}
+		from, more = page.Next, page.More
+	}
+	if st.N() <= 3 && !st.SolveMode() {
+		if _, err := st.Verify(VerifyOptions{SpotChecks: 2}); err != nil {
+			t.Fatalf("Verify: %v", err)
+		}
+		return
+	}
+	if _, _, _, _, err := st.verifyPhysical(&VerifyReport{}); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+}
+
+// FuzzStoreOpen opens a store from fuzzed manifest and data bytes and
+// drives every read path over it.
+func FuzzStoreOpen(f *testing.F) {
+	for _, orbits := range []bool{false, true} {
+		man, data := seedStore(f, census.Options{Workers: 1, Orbits: orbits, MaxIndices: 40}, 8)
+		f.Add(man, data)
+	}
+	f.Fuzz(func(t *testing.T, man, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), man, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Open requires the data file its generation names; a manifest
+		// that does not parse is refused before any data file is read.
+		var hdr struct {
+			Generation int `json:"generation"`
+		}
+		json.Unmarshal(man, &hdr)
+		if err := os.WriteFile(filepath.Join(dir, dataFileName(hdr.Generation)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir)
+		if err != nil {
+			checkCorrupt(t, "Open", err)
+			return
+		}
+		defer st.Close()
+		exerciseStore(t, st)
+	})
+}
+
+// FuzzBlockDecode writes one fuzzed block into a one-block n=3 store
+// whose manifest carries the block's CRC, so inflate, line split and
+// the lookup probe are all reached. A gzipped payload is stored as
+// is; a plain one is compressed first, so its lines always reach the
+// split. Every index is looked up twice: once on the first inflation,
+// which parses every line, and again after an eviction, when the probe
+// parses only the lines it visits. The answers must agree.
+func FuzzBlockDecode(f *testing.F) {
+	man, data := seedStore(f, census.Options{Workers: 1, MaxIndices: 12}, 0)
+	var m manifest
+	if err := json.Unmarshal(man, &m); err != nil {
+		f.Fatal(err)
+	}
+	blk := data[m.Blocks[0].Offset : m.Blocks[0].Offset+m.Blocks[0].Size]
+	f.Add(blk, true)
+	if zr, err := gzip.NewReader(bytes.NewReader(blk)); err == nil {
+		var plain bytes.Buffer
+		if _, err := plain.ReadFrom(zr); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(plain.Bytes(), false)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, gzipped bool) {
+		block := payload
+		if !gzipped {
+			var buf bytes.Buffer
+			zw := gzip.NewWriter(&buf)
+			zw.Write(payload)
+			zw.Close()
+			block = buf.Bytes()
+		}
+		// The manifest's range and count follow the payload's lines
+		// when they inflate and parse, so the split and probe are
+		// reached; otherwise they cover the whole domain.
+		meta := blockMeta{First: 0, Last: adversary.CensusSize(3) - 1, Entries: 1,
+			Size: int64(len(block)), CRC: crc32.ChecksumIEEE(block)}
+		if zr, err := gzip.NewReader(bytes.NewReader(block)); err == nil {
+			var plain bytes.Buffer
+			if _, err := plain.ReadFrom(zr); err == nil {
+				var lines [][]byte
+				for _, line := range bytes.Split(plain.Bytes(), []byte{'\n'}) {
+					if len(line) > 0 {
+						lines = append(lines, line)
+					}
+				}
+				meta.Entries = len(lines)
+				if len(lines) > 0 {
+					first, err1 := entryIndex(lines[0])
+					last, err2 := entryIndex(lines[len(lines)-1])
+					if err1 == nil && err2 == nil {
+						meta.First, meta.Last = first, last
+					}
+				}
+			}
+		}
+		dir := t.TempDir()
+		writeManifest(t, dir, manifest{Version: formatVersion, N: 3, Generation: 1,
+			DataFile: dataFileName(1), Blocks: []blockMeta{meta}})
+		if err := os.WriteFile(filepath.Join(dir, dataFileName(1)), block, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir)
+		if err != nil {
+			checkCorrupt(t, "Open", err)
+			return
+		}
+		defer st.Close()
+
+		domain := adversary.CensusSize(3)
+		type answer struct {
+			line   string
+			ok     bool
+			failed bool
+		}
+		lookupAll := func() []answer {
+			out := make([]answer, domain)
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			for idx := uint64(0); idx < domain; idx++ {
+				line, ok, err := st.getRawLocked(idx)
+				checkCorrupt(t, "Get", err)
+				out[idx] = answer{string(line), ok, err != nil}
+			}
+			return out
+		}
+		first := lookupAll()
+		st.mu.Lock()
+		clear(st.blockCache) // evict; the block stays parsed
+		st.cacheOrder = st.cacheOrder[:0]
+		st.mu.Unlock()
+		if again := lookupAll(); !slices.Equal(first, again) {
+			t.Fatalf("lookups after re-inflation disagree with the first parse")
+		}
+		_, err = st.Summary()
+		checkCorrupt(t, "Summary", err)
+		exerciseStore(t, st)
+	})
+}

@@ -106,6 +106,7 @@ func (s *Store) Merge(shardPaths []string, opts MergeOptions) (MergeStats, error
 	heap.Init(&h)
 
 	var stats MergeStats
+	zw := gzip.NewWriter(nil)
 	var block [][]byte
 	var first, last uint64
 	var off int64
@@ -115,7 +116,7 @@ func (s *Store) Merge(shardPaths []string, opts MergeOptions) (MergeStats, error
 		if len(block) == 0 {
 			return nil
 		}
-		meta, err := appendBlock(out, off, block, first, last)
+		meta, err := appendBlock(out, zw, off, block, first, last)
 		if err != nil {
 			return err
 		}
@@ -241,7 +242,11 @@ func (m *mergeSource) next() (bool, error) {
 	switch {
 	case m.store != nil:
 		if m.entries == nil {
-			entries, err := m.store.readBlockLocked(m.store.man.Blocks[m.block])
+			b := m.store.man.Blocks[m.block]
+			entries, err := m.store.readBlockLocked(b)
+			if err == nil {
+				err = indexAll(entries, b.Offset)
+			}
 			if err != nil {
 				return false, err
 			}

@@ -8,7 +8,10 @@ package store
 // entry count — no false negatives in either form, so the filter is
 // transparent to lookup semantics and only trims work on misses.
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 const (
 	// presenceBitmapMax bounds the exact-bitmap form: domains up to
@@ -85,10 +88,11 @@ func (p *presenceFilter) add(idx uint64) {
 	}
 }
 
-// mayContain reports whether idx could be stored. False is definitive.
+// mayContain reports whether idx could be stored. False is definitive:
+// an index beyond the exact bitmap's domain is never stored.
 func (p *presenceFilter) mayContain(idx uint64) bool {
 	if p.exact {
-		return p.words[idx/64].Load()&(1<<(idx%64)) != 0
+		return idx/64 < uint64(len(p.words)) && p.words[idx/64].Load()&(1<<(idx%64)) != 0
 	}
 	h := mix(idx)
 	d := mix(idx ^ 0x9e3779b97f4a7c15)
@@ -112,13 +116,18 @@ func (s *Store) LoadPresence() error {
 	for _, b := range s.man.Blocks {
 		entries += uint64(b.Entries)
 	}
-	p := newPresenceFilter(s.domainSizeLocked(), entries)
+	domain := s.domainSizeLocked()
+	p := newPresenceFilter(domain, entries)
 	for j := range s.man.Blocks {
-		blk, err := s.blockEntriesLocked(j)
+		blk, err := s.parsedBlockLocked(j)
 		if err != nil {
 			return err
 		}
 		for _, be := range blk {
+			if be.idx >= domain {
+				return fmt.Errorf("%w: block at %d: entry index %d beyond the n=%d domain",
+					ErrCorrupt, s.man.Blocks[j].Offset, be.idx, s.man.N)
+			}
 			p.add(be.idx)
 		}
 	}

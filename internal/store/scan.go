@@ -71,7 +71,7 @@ func (s *Store) Range(from, to uint64, limit int) (RangePage, error) {
 			if blocks[j].Last < from {
 				continue
 			}
-			entries, err := s.blockEntriesLocked(j)
+			entries, err := s.parsedBlockLocked(j)
 			if err != nil {
 				return false, err
 			}

@@ -29,7 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -53,6 +53,11 @@ const (
 
 	// blockCacheSize bounds the per-store cache of inflated blocks.
 	blockCacheSize = 16
+
+	// maxEntriesPerByte bounds a block's entry count by its compressed
+	// size: DEFLATE expands one byte to at most 1032, and every entry is
+	// a non-empty line of at least one byte plus its newline.
+	maxEntriesPerByte = 1032 / 2
 )
 
 // Errors surfaced by store operations.
@@ -139,6 +144,17 @@ type Store struct {
 	blockCache map[int64][]blockEntry
 	cacheOrder []int64 // LRU order, oldest first
 
+	// parsedBlocks holds the offsets of the blocks whose every line has
+	// been parsed in this generation. Re-inflating one of them after an
+	// eviction yields the same CRC-checked bytes, so its lines are left
+	// for the lookup probe to parse on demand. Cleared with blockCache.
+	parsedBlocks map[int64]struct{}
+
+	// Inflate state reused by every block read under mu: the gzip
+	// reader and the buffer it inflates into.
+	zr       *gzip.Reader
+	inflated bytes.Buffer
+
 	summary *census.Summary // cached aggregate; nil after writes
 
 	// presence, when loaded (LoadPresence), short-circuits definite
@@ -148,11 +164,36 @@ type Store struct {
 	presenceSkips atomic.Uint64
 }
 
-// blockEntry is one inflated entry: its index and raw JSON line
-// (newline excluded).
+// blockEntry is one inflated entry: its raw JSON line (newline
+// excluded) and its enumeration index, parsed from the line on first
+// use (parsed reports whether idx holds it).
 type blockEntry struct {
-	idx  uint64
-	line []byte
+	line   []byte
+	idx    uint64
+	parsed bool
+}
+
+// index returns the entry's enumeration index, parsing its line once.
+// Callers hold the owning store's mu: the result is memoized in place.
+func (be *blockEntry) index() (uint64, error) {
+	if !be.parsed {
+		idx, err := entryIndex(be.line)
+		if err != nil {
+			return 0, err
+		}
+		be.idx, be.parsed = idx, true
+	}
+	return be.idx, nil
+}
+
+// indexAll parses every line of the block at offset off not parsed yet.
+func indexAll(entries []blockEntry, off int64) error {
+	for i := range entries {
+		if _, err := entries[i].index(); err != nil {
+			return fmt.Errorf("%w: block at %d: %v", ErrCorrupt, off, err)
+		}
+	}
+	return nil
 }
 
 // Create initializes an empty store for an n-process census in dir
@@ -175,8 +216,8 @@ func Create(dir string, n int) (*Store, error) {
 			Generation: 1,
 			DataFile:   dataFileName(1),
 		},
-		blockCache: make(map[int64][]blockEntry),
 	}
+	s.dropCacheLocked()
 	f, err := os.OpenFile(filepath.Join(dir, s.man.DataFile), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
@@ -206,7 +247,19 @@ func Open(dir string) (*Store, error) {
 	if man.N < 1 || man.N > 6 {
 		return nil, fmt.Errorf("%w: manifest n=%d", ErrCorrupt, man.N)
 	}
-	s := &Store{dir: dir, man: man, blockCache: make(map[int64][]blockEntry)}
+	if man.DataFile != dataFileName(man.Generation) {
+		return nil, fmt.Errorf("%w: manifest generation %d names data file %q",
+			ErrCorrupt, man.Generation, man.DataFile)
+	}
+	for j, b := range man.Blocks {
+		if b.Offset < 0 || b.Size < 0 || b.Entries < 0 || b.Offset > math.MaxInt64-b.Size ||
+			int64(b.Entries)/maxEntriesPerByte > b.Size {
+			return nil, fmt.Errorf("%w: manifest block %d: offset %d, size %d, entries %d",
+				ErrCorrupt, j, b.Offset, b.Size, b.Entries)
+		}
+	}
+	s := &Store{dir: dir, man: man}
+	s.dropCacheLocked()
 	s.reindexLocked()
 	f, err := os.OpenFile(filepath.Join(dir, man.DataFile), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -372,12 +425,14 @@ func (s *Store) reindexLocked() {
 	s.summary = nil
 }
 
-// dropCacheLocked empties the inflated-block cache — required whenever
-// the data file itself is replaced (merge generations), where offsets
-// name different bytes. Callers hold s.mu.
+// dropCacheLocked empties the inflated-block cache and the set of
+// parsed blocks — required whenever the data file itself is replaced
+// (merge generations), where offsets name different bytes. Callers
+// hold s.mu (or own the store exclusively).
 func (s *Store) dropCacheLocked() {
 	s.blockCache = make(map[int64][]blockEntry)
 	s.cacheOrder = s.cacheOrder[:0]
+	s.parsedBlocks = make(map[int64]struct{})
 }
 
 // Get returns the entry stored for the exact enumeration index, if any.
@@ -417,7 +472,10 @@ func (s *Store) getRawLocked(idx uint64) ([]byte, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		k := sort.Search(len(entries), func(m int) bool { return entries[m].idx >= idx })
+		k, err := probe(entries, idx)
+		if err != nil {
+			return nil, false, fmt.Errorf("%w: block at %d: %v", ErrCorrupt, blocks[j].Offset, err)
+		}
 		if k < len(entries) && entries[k].idx == idx {
 			return entries[k].line, true, nil
 		}
@@ -425,8 +483,32 @@ func (s *Store) getRawLocked(idx uint64) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
+// probe returns the position of the first entry whose index is at
+// least idx (len(entries) if none), parsing only the lines the binary
+// search visits: at most ⌈log₂ B⌉+1 of a B-entry block. The entry at
+// the returned position, if any, is parsed.
+func probe(entries []blockEntry, idx uint64) (int, error) {
+	lo, hi := 0, len(entries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		v, err := entries[mid].index()
+		if err != nil {
+			return 0, err
+		}
+		if v < idx {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, nil
+}
+
 // blockEntriesLocked inflates block j through the LRU cache (keyed by
-// the block's data-file offset). Callers hold s.mu.
+// the block's data-file offset). A block's first inflation in a
+// generation parses every line, so no lookup is ever answered from a
+// block this process has not fully parsed; a re-inflation after an
+// eviction leaves the lines for the lookup probe. Callers hold s.mu.
 func (s *Store) blockEntriesLocked(j int) ([]blockEntry, error) {
 	key := s.man.Blocks[j].Offset
 	if entries, ok := s.blockCache[key]; ok {
@@ -437,12 +519,32 @@ func (s *Store) blockEntriesLocked(j int) ([]blockEntry, error) {
 	if err != nil {
 		return nil, err
 	}
+	if _, ok := s.parsedBlocks[key]; !ok {
+		if err := indexAll(entries, key); err != nil {
+			return nil, err
+		}
+		s.parsedBlocks[key] = struct{}{}
+	}
 	s.blockCache[key] = entries
 	s.cacheOrder = append(s.cacheOrder, key)
 	if len(s.cacheOrder) > blockCacheSize {
 		evict := s.cacheOrder[0]
 		s.cacheOrder = s.cacheOrder[1:]
 		delete(s.blockCache, evict)
+	}
+	return entries, nil
+}
+
+// parsedBlockLocked is blockEntriesLocked with every line parsed: the
+// whole-block walkers (LoadPresence, Range, Summary) check every line
+// of every block they read. Callers hold s.mu.
+func (s *Store) parsedBlockLocked(j int) ([]blockEntry, error) {
+	entries, err := s.blockEntriesLocked(j)
+	if err != nil {
+		return nil, err
+	}
+	if err := indexAll(entries, s.man.Blocks[j].Offset); err != nil {
+		return nil, err
 	}
 	return entries, nil
 }
@@ -457,7 +559,8 @@ func (s *Store) touchBlockLocked(key int64) {
 }
 
 // readBlockLocked reads, checks and inflates one block from the data
-// file. Callers hold s.mu.
+// file and splits it into lines, leaving them unparsed (see indexAll
+// and probe). Callers hold s.mu.
 func (s *Store) readBlockLocked(b blockMeta) ([]blockEntry, error) {
 	if s.data == nil {
 		return nil, errors.New("store: closed")
@@ -469,33 +572,48 @@ func (s *Store) readBlockLocked(b blockMeta) ([]blockEntry, error) {
 	if crc := crc32.ChecksumIEEE(comp); crc != b.CRC {
 		return nil, fmt.Errorf("%w: block at %d: crc %08x, manifest %08x", ErrCorrupt, b.Offset, crc, b.CRC)
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(comp))
+	raw, err := s.inflateLocked(comp)
 	if err != nil {
 		return nil, fmt.Errorf("%w: block at %d: %v", ErrCorrupt, b.Offset, err)
 	}
-	raw, err := io.ReadAll(zr)
-	if err != nil {
-		return nil, fmt.Errorf("%w: block at %d: %v", ErrCorrupt, b.Offset, err)
-	}
-	if err := zr.Close(); err != nil {
-		return nil, fmt.Errorf("%w: block at %d: %v", ErrCorrupt, b.Offset, err)
-	}
-	entries := make([]blockEntry, 0, b.Entries)
-	for _, line := range bytes.Split(raw, []byte{'\n'}) {
-		if len(line) == 0 {
-			continue
+	entries := make([]blockEntry, 0, min(b.Entries, bytes.Count(raw, []byte{'\n'})+1))
+	for len(raw) > 0 {
+		var line []byte
+		line, raw, _ = bytes.Cut(raw, []byte{'\n'})
+		if len(line) > 0 {
+			entries = append(entries, blockEntry{line: line})
 		}
-		idx, err := entryIndex(line)
-		if err != nil {
-			return nil, fmt.Errorf("%w: block at %d: %v", ErrCorrupt, b.Offset, err)
-		}
-		entries = append(entries, blockEntry{idx: idx, line: line})
 	}
 	if len(entries) != b.Entries {
 		return nil, fmt.Errorf("%w: block at %d holds %d entries, manifest says %d",
 			ErrCorrupt, b.Offset, len(entries), b.Entries)
 	}
 	return entries, nil
+}
+
+// inflateLocked decompresses one block through the store's reused gzip
+// reader and scratch buffer and returns an exactly sized copy. The
+// buffer grows with what the stream yields: the gzip size trailer is
+// never trusted for sizing. Callers hold s.mu.
+func (s *Store) inflateLocked(comp []byte) ([]byte, error) {
+	src := bytes.NewReader(comp)
+	if s.zr == nil {
+		zr, err := gzip.NewReader(src)
+		if err != nil {
+			return nil, err
+		}
+		s.zr = zr
+	} else if err := s.zr.Reset(src); err != nil {
+		return nil, err
+	}
+	s.inflated.Reset()
+	if _, err := s.inflated.ReadFrom(s.zr); err != nil {
+		return nil, err
+	}
+	if err := s.zr.Close(); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(s.inflated.Bytes()), nil
 }
 
 // entryIndex extracts the enumeration index from a census JSON line.
@@ -607,6 +725,9 @@ func (s *Store) PutNew(e *census.Entry) (added bool, err error) {
 	if s.data == nil {
 		return false, errors.New("store: closed")
 	}
+	if e.Index >= s.domainSizeLocked() {
+		return false, fmt.Errorf("store: index %d beyond the n=%d domain", e.Index, s.man.N)
+	}
 	if err := s.admitKindLocked(e.OrbitSize > 0); err != nil {
 		return false, err
 	}
@@ -624,7 +745,7 @@ func (s *Store) PutNew(e *census.Entry) (added bool, err error) {
 		}
 		return false, nil
 	}
-	meta, err := appendBlock(s.data, s.dataEnd, [][]byte{line}, e.Index, e.Index)
+	meta, err := appendBlock(s.data, gzip.NewWriter(nil), s.dataEnd, [][]byte{line}, e.Index, e.Index)
 	if err != nil {
 		return false, err
 	}
@@ -700,10 +821,12 @@ func admitTask(man *manifest, task string, solved bool, idx uint64) error {
 	}
 }
 
-// appendBlock compresses lines into one block at the given offset of f.
-func appendBlock(f *os.File, off int64, lines [][]byte, first, last uint64) (blockMeta, error) {
+// appendBlock compresses lines into one block at the given offset of f
+// through zw, which it resets: a merge writing many blocks allocates
+// one compressor, not one per block, and the bytes are the same.
+func appendBlock(f *os.File, zw *gzip.Writer, off int64, lines [][]byte, first, last uint64) (blockMeta, error) {
 	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
+	zw.Reset(&buf)
 	for _, line := range lines {
 		if _, err := zw.Write(append(line, '\n')); err != nil {
 			return blockMeta{}, err
@@ -768,7 +891,7 @@ func (s *Store) Summary() (census.Summary, error) {
 	}
 	sum := census.NewSummary(s.man.N)
 	for j := range s.man.Blocks {
-		entries, err := s.blockEntriesLocked(j)
+		entries, err := s.parsedBlockLocked(j)
 		if err != nil {
 			return census.Summary{}, err
 		}

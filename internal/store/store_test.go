@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"os"
@@ -257,6 +259,39 @@ func TestMergeGzipShard(t *testing.T) {
 	}
 	if e, ok, _ := st.Get(want[100].Index); !ok || mustJSON(t, e) != mustJSON(t, &want[100]) {
 		t.Fatal("gzip-merged store misses entries")
+	}
+}
+
+// TestMergeBlockBytes: a merge compresses its blocks through one reset
+// writer, and every block holds the bytes a fresh writer produces over
+// the same lines, as stores written before that reuse do.
+func TestMergeBlockBytes(t *testing.T) {
+	dir := t.TempDir()
+	shard, want := censusJSONL(t, dir, "full.jsonl", 3, census.Options{Workers: 1})
+	st, err := Create(filepath.Join(dir, "store"), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.Merge([]string{shard}, MergeOptions{BlockEntries: 16}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "store", st.man.DataFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, b := range st.man.Blocks {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		for i := j * 16; i < min(j*16+16, len(want)); i++ {
+			zw.Write([]byte(mustJSON(t, &want[i]) + "\n"))
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data[b.Offset:b.Offset+b.Size], buf.Bytes()) {
+			t.Fatalf("block %d differs from a fresh writer's bytes", j)
+		}
 	}
 }
 

@@ -161,6 +161,9 @@ func (s *Store) verifyPhysical(rep *VerifyReport) (n int, domain uint64, orbitKi
 			continue
 		}
 		entries, err := s.readBlockLocked(b)
+		if err == nil {
+			err = indexAll(entries, b.Offset)
+		}
 		if err != nil {
 			rep.problemf("block %d: %v", j, err)
 			continue
