@@ -44,7 +44,7 @@ func BenchmarkCensusSolve(b *testing.B) {
 				rep, err := RunCensus(2, CensusOptions{
 					Workers:         workers,
 					Solve:           true,
-					KTask:           1,
+					Task:            "kset:k=1",
 					VerifyWitnesses: true,
 					Cache:           NewTowerCache(),
 				})
@@ -77,11 +77,10 @@ func BenchmarkVerifyWitness(b *testing.B) {
 	if !res.Solvable {
 		b.Fatal("instance should be solvable")
 	}
-	member := ra.Membership()
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				err := solver.VerifyWitnessWith(task, member, res.Rounds, res.Map, solver.Options{
+				err := solver.VerifyWitnessTables(task, ra, res.Rounds, res.Map, solver.Options{
 					Workers:  workers,
 					Cache:    cache,
 					CacheKey: ra.Signature(),

@@ -26,7 +26,7 @@ func cmdCoordinate(args []string) error {
 	orbits := fs.Bool("orbits", true, "sweep canonical orbit representatives only")
 	solve := fs.Bool("solve", false, "campaign also decides the configured task per fair adversary")
 	task := fs.String("task", "", "registered task spec the campaign decides (e.g. kset:k=2, loop-agreement); implies -solve")
-	ktask := fs.Int("ktask", 1, "k of the k-set consensus task for -solve (deprecated compat for -task kset:k=K)")
+	ktask := fs.Int("ktask", 1, "k of the k-set consensus task for -solve when -task is empty: the CLI spelling of -task kset:k=K")
 	rounds := fs.Int("rounds", 1, "maximum iterations of R_A for -solve")
 	unitSize := fs.Uint64("unit-size", 0, "ranks per unit (orbit mode) or raw indices per unit (0 = default)")
 	addr := fs.String("addr", "127.0.0.1:8081", "listen address")
@@ -48,6 +48,8 @@ func cmdCoordinate(args []string) error {
 			return usagef(fs, "coordinate: %v", err)
 		}
 		*solve = true
+	} else if *solve {
+		*task = fact.KSetTaskSpec(*ktask).String()
 	}
 	st, err := fact.OpenOrCreateCensusStore(*storeDir, *n)
 	if err != nil {
@@ -55,7 +57,7 @@ func cmdCoordinate(args []string) error {
 	}
 	defer st.Close()
 
-	camp := fact.FabricCampaign{N: *n, Orbits: *orbits, Solve: *solve, Task: *task, KTask: *ktask, MaxRounds: *rounds}
+	camp := fact.FabricCampaign{N: *n, Orbits: *orbits, Solve: *solve, Task: *task, MaxRounds: *rounds}
 	opts := fact.FabricCoordinatorOptions{
 		UnitSize: *unitSize,
 		TTL:      *ttl,

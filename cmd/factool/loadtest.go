@@ -59,7 +59,7 @@ func cmdLoadtest(args []string) error {
 	batch := fs.Int("batch", 16, "indices per batch classify request")
 	solveFrac := fs.Float64("solve-frac", 0.05, "fraction of requests that are live /v1/solve calls")
 	batchFrac := fs.Float64("batch-frac", 0.25, "fraction of requests that are batch classifies")
-	ktask := fs.Int("ktask", 1, "k for the /v1/solve k-set consensus queries (deprecated: use -task kset:k=K)")
+	ktask := fs.Int("ktask", 1, "k for the /v1/solve k-set consensus queries when -task is empty: the CLI spelling of -task kset:k=K")
 	task := fs.String("task", "", "task spec for the /v1/solve queries (e.g. loop-agreement, approx:eps=1); overrides -ktask")
 	seed := fs.Int64("seed", 1, "RNG seed (per-worker streams derive from it; runs are reproducible)")
 	apikey := fs.String("apikey", "", "API key sent as a Bearer token (when the server has -apikeys)")

@@ -363,7 +363,7 @@ func cmdCensus(args []string) error {
 	jsonOut := fs.Bool("json", false, "emit the full deterministic report as JSON on stdout")
 	solve := fs.Bool("solve", false, "also decide the configured task per fair adversary")
 	task := fs.String("task", "", "registered task spec to decide (kset:k=K | consensus | loop-agreement | approx:eps=E | simplex-agreement | identity); implies -solve")
-	kTask := fs.Int("ktask", 1, "k for -solve (deprecated compat for -task kset:k=K)")
+	kTask := fs.Int("ktask", 1, "k for -solve when -task is empty: the CLI spelling of -task kset:k=K")
 	family := fs.String("family", "", "restrict the sweep to a named adversary family: t-resilient[:t=T] | symmetric | k-obstruction-free[:k=K]")
 	rounds := fs.Int("rounds", 1, "maximum iterations of R_A for -solve")
 	verify := fs.Bool("verify", false, "independently re-verify every witness map (-solve)")
@@ -375,7 +375,7 @@ func cmdCensus(args []string) error {
 	checkpoint := fs.String("checkpoint", "", "checkpoint sidecar path (periodic atomic frontier records)")
 	checkpointEvery := fs.Uint64("checkpoint-every", 0, "enumeration indices between checkpoints (0 = default)")
 	resume := fs.Bool("resume", false, "resume from -checkpoint when it exists (missing sidecar starts fresh)")
-	maxIndices := fs.Uint64("maxindices", 0, "stop cleanly after about this many newly swept indices (0 = no cap)")
+	maxIndices := fs.Uint64("maxindices", 0, "stop cleanly after exactly this many newly swept raw indices (0 = no cap)")
 	budget := fs.Duration("budget", 0, "wall-clock budget; the sweep winds down cleanly when it elapses (0 = none)")
 	cacheMB := fs.Int64("cachemb", 0, "tower-cache byte budget in MiB for -solve (0 = unbounded)")
 	debugAddr, tracePath := debugFlags(fs)
@@ -393,12 +393,13 @@ func cmdCensus(args []string) error {
 			return usagef(fs, "census: %v", err)
 		}
 		*solve = true
+	} else if *solve {
+		*task = fact.KSetTaskSpec(*kTask).String()
 	}
 	opts := fact.CensusOptions{
 		Workers:         *workers,
 		Solve:           *solve,
 		Task:            *task,
-		KTask:           *kTask,
 		Family:          *family,
 		MaxRounds:       *rounds,
 		VerifyWitnesses: *verify,

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"os"
 	"path/filepath"
@@ -74,6 +76,29 @@ func TestCensusOutputDeterministic(t *testing.T) {
 		if len(serial) == 0 {
 			t.Errorf("%v produced no output", mode)
 		}
+	}
+}
+
+// TestCensusKTaskSpelling pins -ktask as the CLI spelling of
+// -task kset:k=K: `-solve -ktask 2` answers byte-identically to
+// `-task kset:k=2` and to the report recorded before the census
+// library lost its KTask option, and `-ktask 0` still means k=1.
+func TestCensusKTaskSpelling(t *testing.T) {
+	census := func(n string, args ...string) string {
+		return captureStdout(t, func() error {
+			return run(append([]string{"census", "-n", n, "-json", "-workers", "4"}, args...))
+		})
+	}
+	ktask := census("3", "-solve", "-ktask", "2")
+	const want = "ed8112c5e5c4a4b73d6838a4c57c00b8c6a2c1f837d6de8011c0632184c173ae"
+	if sum := sha256.Sum256([]byte(ktask)); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("-solve -ktask 2 report sha256 %x, want %s", sum, want)
+	}
+	if spec := census("3", "-task", "kset:k=2"); spec != ktask {
+		t.Error("-solve -ktask 2 differs from -task kset:k=2")
+	}
+	if k0, k1 := census("2", "-solve", "-ktask", "0"), census("2", "-solve", "-ktask", "1"); k0 != k1 {
+		t.Error("-ktask 0 differs from -ktask 1")
 	}
 }
 

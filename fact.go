@@ -19,6 +19,7 @@ package fact
 import (
 	"repro/internal/adversary"
 	"repro/internal/affine"
+	"repro/internal/api"
 	"repro/internal/census"
 	"repro/internal/chromatic"
 	"repro/internal/core"
@@ -46,23 +47,6 @@ type (
 	AlphaFunc = adversary.AlphaFunc
 	// AffineTask is a pure sub-complex of Chr² s (Section 4).
 	AffineTask = affine.Task
-	// Run2 is a two-round IIS run (a facet of Chr² s).
-	Run2 = chromatic.Run2
-	// RunKey is the packed binary key of a two-round run.
-	RunKey = chromatic.RunKey
-	// RunRank is the dense per-ground index of a two-round run — the
-	// slot a MembershipTable answers by.
-	RunRank = chromatic.RunRank
-	// Membership is the generic run-membership callback consumed by the
-	// subdivision engine (the compat path; table providers are the fast
-	// path).
-	Membership = chromatic.Membership
-	// MembershipTable is a precomputed rank-indexed membership bitset
-	// over one ground set — the flat-array fast path of the engine.
-	MembershipTable = chromatic.MembershipTable
-	// MemberTables supplies per-ground membership tables; AffineTask
-	// implements it natively.
-	MemberTables = chromatic.MemberTables
 	// Universe interns Chr² s vertices into a shared identity space.
 	Universe = chromatic.Universe
 	// Task is a distributed task (I, O, Δ) (Section 2).
@@ -117,9 +101,9 @@ type (
 	CensusStoreMount = store.Mount
 	// CensusAPIKey is one authorized serve-layer key with its rate
 	// budget.
-	CensusAPIKey = store.APIKey
+	CensusAPIKey = api.APIKey
 	// CensusAuthConfig is the serve layer's API-key auth state.
-	CensusAuthConfig = store.AuthConfig
+	CensusAuthConfig = api.AuthConfig
 	// CensusRangePage is one page of a store range scan.
 	CensusRangePage = store.RangePage
 	// CensusVerifyOptions tune a store deep check.
@@ -221,20 +205,14 @@ var (
 	// NewCensusRegistryServer builds the HTTP serving layer over a
 	// registry of mounted stores.
 	NewCensusRegistryServer = store.NewServer
-	// NewCensusServer builds the serving layer over one open store.
-	//
-	// Deprecated: a one-store shim kept for compatibility — it mounts
-	// the store in a fresh registry. New code should build a
-	// CensusStoreRegistry and use NewCensusRegistryServer.
-	NewCensusServer = store.NewSingleServer
 	// NewCensusStoreRegistry returns an empty store registry.
 	NewCensusStoreRegistry = store.NewRegistry
 	// LoadCensusAPIKeys reads a serve-layer API-key file
 	// (name:key[:rate[:burst]] lines).
-	LoadCensusAPIKeys = store.LoadAPIKeys
+	LoadCensusAPIKeys = api.LoadAPIKeys
 	// NewCensusAuthConfig builds serve-layer auth state from explicit
 	// keys.
-	NewCensusAuthConfig = store.NewAuthConfig
+	NewCensusAuthConfig = api.NewAuthConfig
 	// NewAdversaryOrbits precomputes the orbit tables for n processes.
 	NewAdversaryOrbits = adversary.NewOrbits
 	// AdversaryIndex is the inverse of AdversaryAt.
@@ -271,17 +249,6 @@ var (
 	DefaultTowerCache = chromatic.DefaultTowerCache
 	// DefaultWorkers returns the default engine worker count (one per CPU).
 	DefaultWorkers = chromatic.DefaultWorkers
-	// NewMembershipTable precomputes a rank-indexed membership table
-	// over one ground set from a Membership callback.
-	NewMembershipTable = chromatic.NewMembershipTable
-	// TablesOf adapts a Membership callback into a (cached) table
-	// provider — the bridge that keeps callback-based callers on the
-	// flat-array engine.
-	TablesOf = chromatic.TablesOf
-	// FullChr2Membership accepts every run: L = Chr² s (callback form).
-	FullChr2Membership = chromatic.FullChr2Membership
-	// FullChr2Tables accepts every run (table-provider form).
-	FullChr2Tables = chromatic.FullChr2Tables
 )
 
 // Task constructors and the task-spec registry, re-exported.

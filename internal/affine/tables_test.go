@@ -87,7 +87,7 @@ func TestIterateTablesMatchesCallbackTower(t *testing.T) {
 		compat := chromatic.NewTower(input)
 		compat.SetWorkers(workers)
 		for i := 0; i < 2; i++ {
-			if err := compat.Extend(task.Membership()); err != nil {
+			if err := compat.ExtendTables(chromatic.TablesOf(task.Membership())); err != nil {
 				t.Fatal(err)
 			}
 		}

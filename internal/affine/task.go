@@ -249,18 +249,16 @@ func (t *Task) ContainsSimplex(ids []sc.VertexID) bool {
 	return t.Complex().Has(ids...)
 }
 
-// Membership returns the structural predicate used to apply this affine
-// task to arbitrary chromatic complexes (chromatic.Tower.Extend): a
-// 2-round run over a ground set of colors is accepted iff its simplex
-// belongs to the task. The run key the enumerators precompute indexes
-// the facet map directly, so the full-ground path is a single map read.
+// Membership returns the task's structural predicate: a 2-round run
+// over a ground set of colors is accepted iff its simplex belongs to
+// the task. The run key the enumerators precompute indexes the facet
+// map directly, so the full-ground path is a single map read.
 //
-// This is the generic/compat form; the engine's fast path consumes the
-// task directly as a chromatic.MemberTables provider (MembershipTable),
-// which answers by rank-indexed bit probes. The returned predicate is
-// safe for concurrent use: the task complex is materialized eagerly
-// here, so evaluations only read it (and intern through the
-// lock-protected Universe).
+// The engine consumes the task as a chromatic.MemberTables provider
+// (MembershipTable); the predicate is the oracle the table-equivalence
+// tests check those tables against. It is safe for concurrent use: the
+// task complex is materialized eagerly here, so evaluations only read
+// it (and intern through the lock-protected Universe).
 func (t *Task) Membership() chromatic.Membership {
 	t.Complex()
 	full := procs.FullSet(t.n)

@@ -3,7 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -164,22 +164,60 @@ func TestLoadAPIKeys(t *testing.T) {
 		t.Fatalf("admit(lkey) = %q, %d", name, status)
 	}
 
-	if err := os.WriteFile(path, []byte("justakey\n"), 0o644); err != nil {
+	// Rejected lines name their file and line. A NaN rate or burst
+	// would switch the key's limiter off, so it must not load.
+	for _, bad := range []struct{ line, want string }{
+		{"justakey", "want name:key"},
+		{"name:key:NaN", `API key "name"`},
+		{"name:key:1:NaN", `API key "name"`},
+	} {
+		if err := os.WriteFile(path, []byte("# header\n"+bad.line+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadAPIKeys(path)
+		if err == nil {
+			t.Fatalf("%q accepted", bad.line)
+		}
+		if msg := err.Error(); !strings.Contains(msg, path+":2:") || !strings.Contains(msg, bad.want) {
+			t.Fatalf("%q: error %q, want the %s:2 prefix and %q", bad.line, msg, path, bad.want)
+		}
+	}
+
+	// A tiny positive rate is a valid (very slow) limiter.
+	if err := os.WriteFile(path, []byte("name:key:1e-300\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadAPIKeys(path); err == nil {
-		t.Fatal("malformed key line accepted")
+	if _, err := LoadAPIKeys(path); err != nil {
+		t.Fatalf("1e-300 rate rejected: %v", err)
 	}
 }
 
-func TestHistogramSum(t *testing.T) {
-	h := NewHistogram("x_seconds", "help", DefaultLatencyBuckets)
-	for i := 0; i < 100; i++ {
-		h.Observe(0.01)
+// TestAdmitRetryAfterCapped: a key whose refill wait overflows int
+// answers 429 with Retry-After capped at math.MaxInt32, never negative.
+func TestAdmitRetryAfterCapped(t *testing.T) {
+	auth, err := NewAuthConfig([]APIKey{{Name: "slow", Key: "k", RatePerSec: 1e-300}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	h.Write(&buf)
-	if !strings.Contains(buf.String(), fmt.Sprintf("x_seconds_sum %s\n", FormatFloat(1.0))) {
-		t.Fatalf("sum drifted:\n%s", buf.String())
+	r := httptest.NewRequest(http.MethodGet, "/", nil)
+	r.Header.Set("X-API-Key", "k")
+	if _, status, _ := auth.Admit(r); status != 0 {
+		t.Fatalf("first request status %d, want admitted", status)
+	}
+	_, status, retry := auth.Admit(r)
+	if status != http.StatusTooManyRequests || retry != math.MaxInt32 {
+		t.Fatalf("second request = %d with Retry-After %d, want 429 with %d", status, retry, math.MaxInt32)
+	}
+}
+
+func TestNewAuthConfigRejectsNonFinite(t *testing.T) {
+	for _, k := range []APIKey{
+		{Name: "nan-rate", Key: "a", RatePerSec: math.NaN()},
+		{Name: "inf-rate", Key: "b", RatePerSec: math.Inf(1)},
+		{Name: "inf-burst", Key: "c", RatePerSec: 1, Burst: math.Inf(-1)},
+	} {
+		if _, err := NewAuthConfig([]APIKey{k}); err == nil || !strings.Contains(err.Error(), k.Name) {
+			t.Fatalf("%s: err %v, want a rejection naming the key", k.Name, err)
+		}
 	}
 }

@@ -11,6 +11,7 @@ package api
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -26,9 +27,22 @@ type APIKey struct {
 	// Key is the secret presented by clients.
 	Key string
 	// RatePerSec refills the key's token bucket; <= 0 means unlimited.
+	// NaN and infinities are rejected.
 	RatePerSec float64
-	// Burst caps the bucket; <= 0 selects max(2*RatePerSec, 1).
+	// Burst caps the bucket; <= 0 selects max(2*RatePerSec, 1). NaN and
+	// infinities are rejected.
 	Burst float64
+}
+
+// finite rejects a NaN or infinite rate or burst: NaN fails every
+// comparison, so such a key would never be throttled.
+func (k APIKey) finite() error {
+	for _, v := range []float64{k.RatePerSec, k.Burst} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("API key %q: rate %v and burst %v must be finite", k.Name, k.RatePerSec, k.Burst)
+		}
+	}
+	return nil
 }
 
 // AuthConfig is a v1 surface's auth state: the key set and its
@@ -60,12 +74,13 @@ func NewAuthConfig(keys []APIKey) (*AuthConfig, error) {
 		if _, dup := cfg.keys[k.Key]; dup {
 			return nil, fmt.Errorf("api: duplicate API key %q", k.Name)
 		}
+		if err := k.finite(); err != nil {
+			return nil, fmt.Errorf("api: %w", err)
+		}
 		burst := k.Burst
 		if burst <= 0 {
-			burst = 2 * k.RatePerSec
-			if burst < 1 {
-				burst = 1
-			}
+			// min: twice a rate near MaxFloat64 overflows to +Inf.
+			burst = max(min(2*k.RatePerSec, math.MaxFloat64), 1)
 		}
 		name := k.Name
 		if name == "" {
@@ -118,6 +133,9 @@ func LoadAPIKeys(path string) (*AuthConfig, error) {
 				return nil, fmt.Errorf("api: apikeys %s:%d: bad burst %q", path, lineNo, parts[3])
 			}
 		}
+		if err := k.finite(); err != nil {
+			return nil, fmt.Errorf("api: apikeys %s:%d: %w", path, lineNo, err)
+		}
 		keys = append(keys, k)
 	}
 	if err := sc.Err(); err != nil {
@@ -148,7 +166,7 @@ func requestKey(r *http.Request) string {
 // Admit authorizes one request. It returns the key's display name and
 // a zero status on success; otherwise the HTTP status to answer (401
 // unknown or missing key, 429 over the key's rate) and, for 429, a
-// suggested Retry-After in seconds.
+// suggested Retry-After in seconds, at most math.MaxInt32.
 func (a *AuthConfig) Admit(r *http.Request) (name string, status int, retryAfter int) {
 	ks, ok := a.keys[requestKey(r)]
 	if !ok {
@@ -166,8 +184,9 @@ func (a *AuthConfig) Admit(r *http.Request) (name string, status int, retryAfter
 	}
 	ks.last = now
 	if ks.tokens < 1 {
+		// A tiny rate makes the wait overflow int; cap it.
 		wait := (1 - ks.tokens) / ks.rate
-		retry := int(wait + 1)
+		retry := int(min(wait+1, math.MaxInt32))
 		return ks.name, http.StatusTooManyRequests, retry
 	}
 	ks.tokens--

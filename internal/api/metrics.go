@@ -1,11 +1,7 @@
 package api
 
-// Metric primitives for the v1 HTTP surfaces. The counter/histogram/
-// gauge implementations moved to internal/obs (the process-wide
-// telemetry plane) in the observability PR; the serve and fabric
-// surfaces keep building against the api names, which are now thin
-// aliases. Only HTTPMetrics — the request-shaped bundle the middleware
-// feeds — lives here.
+// The request-shaped metric bundle the v1 middleware feeds. The
+// counter, histogram and gauge primitives live in internal/obs.
 
 import (
 	"io"
@@ -14,35 +10,6 @@ import (
 	"repro/internal/obs"
 )
 
-// CounterVec is a labeled counter family. See obs.CounterVec.
-type CounterVec = obs.CounterVec
-
-// Histogram is a fixed-bucket Prometheus histogram. See obs.Histogram.
-type Histogram = obs.Histogram
-
-// DefaultLatencyBuckets span sub-millisecond store hits through
-// multi-second live solves.
-var DefaultLatencyBuckets = obs.DefaultLatencyBuckets
-
-// NewCounterVec builds a counter family with the given label names.
-func NewCounterVec(name, help string, labels ...string) *CounterVec {
-	return obs.NewCounterVec(name, help, labels...)
-}
-
-// NewHistogram builds a histogram over the given ascending upper bounds.
-func NewHistogram(name, help string, buckets []float64) *Histogram {
-	return obs.NewHistogram(name, help, buckets)
-}
-
-// FormatFloat renders a float without trailing zeros, matching the
-// bucket labels Prometheus clients emit.
-func FormatFloat(v float64) string { return obs.FormatFloat(v) }
-
-// WriteGauge emits one gauge sample with its HELP/TYPE header.
-func WriteGauge(w io.Writer, name, help string, val int64) {
-	obs.WriteGauge(w, name, help, val)
-}
-
 // HTTPMetrics is the per-surface request metric set the middleware
 // feeds: request counts by path/status, auth rejections, end-to-end
 // latency and the in-flight gauge. Names are <prefix>_requests_total,
@@ -50,9 +17,9 @@ func WriteGauge(w io.Writer, name, help string, val int64) {
 // <prefix>_inflight_requests.
 type HTTPMetrics struct {
 	prefix         string
-	Requests       *CounterVec // path, code
-	AuthRejected   *CounterVec // reason: unauthorized | ratelimited
-	RequestSeconds *Histogram
+	Requests       *obs.CounterVec // path, code
+	AuthRejected   *obs.CounterVec // reason: unauthorized | ratelimited
+	RequestSeconds *obs.Histogram
 	Inflight       atomic.Int64
 }
 
@@ -61,10 +28,10 @@ type HTTPMetrics struct {
 func NewHTTPMetrics(prefix string) *HTTPMetrics {
 	return &HTTPMetrics{
 		prefix:       prefix,
-		Requests:     NewCounterVec(prefix+"_requests_total", "HTTP requests by path and status code.", "path", "code"),
-		AuthRejected: NewCounterVec(prefix+"_auth_rejected_total", "Requests rejected by API-key auth or rate limiting.", "reason"),
-		RequestSeconds: NewHistogram(prefix+"_request_seconds",
-			"End-to-end request latency in seconds.", DefaultLatencyBuckets),
+		Requests:     obs.NewCounterVec(prefix+"_requests_total", "HTTP requests by path and status code.", "path", "code"),
+		AuthRejected: obs.NewCounterVec(prefix+"_auth_rejected_total", "Requests rejected by API-key auth or rate limiting.", "reason"),
+		RequestSeconds: obs.NewHistogram(prefix+"_request_seconds",
+			"End-to-end request latency in seconds.", obs.DefaultLatencyBuckets),
 	}
 }
 
@@ -73,7 +40,7 @@ func (m *HTTPMetrics) Write(w io.Writer) {
 	m.Requests.Write(w)
 	m.AuthRejected.Write(w)
 	m.RequestSeconds.Write(w)
-	WriteGauge(w, m.prefix+"_inflight_requests", "Requests currently being served.", m.Inflight.Load())
+	obs.WriteGauge(w, m.prefix+"_inflight_requests", "Requests currently being served.", m.Inflight.Load())
 }
 
 // WritePrometheus implements obs.Collector, so an HTTPMetrics set can

@@ -4,29 +4,24 @@
 // run as fast as the hardware allows.
 //
 // The enumeration space — every adversary over n processes, indexed by
-// adversary.AdversaryAt — is partitioned into deterministic contiguous
-// shards. A bounded worker pool classifies (and optionally solves) the
-// adversaries of each shard; completed shards pass through a bounded
-// reorder buffer that emits entries to a pluggable Sink in strict
-// enumeration order, so every report and stream is byte-identical for
-// every worker count while memory stays O(workers × ShardSize) entries
-// — no full-domain slice, which is what lifts the engine from the
-// MaxDomain cap toward the n=5 domain of 2^31 adversaries. Periodic
-// checkpoints record the contiguous completed frontier plus the running
-// aggregates, so an interrupted campaign resumes where it left off with
-// byte-identical final output; an orbit mode sweeps one canonical
-// representative per color-permutation orbit (adversary.Orbits) and
-// weights the aggregates by orbit size, cutting the swept domain by up
-// to n! while reporting the same totals.
-//
-// Orbit sweeps are driven by the stabilizer-aware canonical generator
-// (adversary.Orbits.ForEachCanonicalFrom): a producer walks the
-// canonical sequence directly — never visiting the non-canonical bulk —
-// and slices it into rank-contiguous blocks of ShardSize
-// representatives, so workers stay load-balanced instead of racing
-// through empty stretches of raw indices. Checkpoints keep recording
-// the raw-index frontier, so sidecars written by the old filter-based
-// path resume unchanged and the output stays byte-identical to it.
+// adversary.AdversaryAt — is swept in one way for every mode: a
+// producer walks the swept indices and slices them into deterministic
+// rank-contiguous blocks of ShardSize indices. A full sweep walks every
+// raw index (an orbit sweep under the trivial group); an orbit sweep
+// walks one canonical representative per color-permutation orbit with
+// the stabilizer-aware generator (adversary.Orbits.ForEachCanonicalFrom),
+// never visiting the non-canonical bulk, and weights the aggregates by
+// orbit size, cutting the swept domain by up to n! while reporting the
+// same totals. A bounded worker pool classifies (and optionally solves)
+// the adversaries of each block; completed blocks pass through a
+// bounded reorder buffer that emits entries to a pluggable Sink in
+// strict enumeration order, so every report and stream is
+// byte-identical for every worker count while memory stays
+// O(workers × ShardSize) entries — no full-domain slice, which is what
+// lifts the engine from the MaxDomain cap toward the n=5 domain of 2^31
+// adversaries. Periodic checkpoints record the raw-index frontier plus
+// the running aggregates, so an interrupted campaign resumes where it
+// left off with byte-identical final output.
 //
 // All solve jobs of one run share a single chromatic.Universe (one Chr²
 // vertex identity space per n) and a single chromatic.TowerCache
@@ -68,30 +63,26 @@ type Options struct {
 	// for every value.
 	Workers int
 
-	// ShardSize is the number of consecutive enumeration indices one
-	// work unit covers — in orbit mode, the number of consecutive
-	// canonical representatives (ranks in the canonical sequence), so
-	// every work unit carries the same amount of real work. <= 0
+	// ShardSize is the number of consecutive swept indices one work
+	// unit covers: raw enumeration indices in a full sweep, canonical
+	// representatives (ranks in the canonical sequence) in orbit mode,
+	// so every work unit carries the same amount of real work. <= 0
 	// selects a default scaled to the domain.
 	ShardSize int
 
 	// Solve additionally decides the configured task (Task, or
-	// KTask-set consensus) for every fair adversary with setcon ≥ 1,
-	// building R_A over the run's shared Universe and solving through
-	// the shared TowerCache.
+	// consensus) for every fair adversary with setcon ≥ 1, building R_A
+	// over the run's shared Universe and solving through the shared
+	// TowerCache.
 	Solve bool
 
 	// Task is the spec of the task to decide — a registered tasks.Spec
 	// string such as "kset:k=2", "loop-agreement" or "approx:eps=1".
-	// Non-empty implies Solve; empty selects the KTask compat path
-	// below. Non-kset specs stamp every emitted entry with the spec
-	// string.
+	// Non-empty implies Solve; empty with Solve set selects "kset:k=1"
+	// (consensus). Non-kset specs stamp every emitted entry with the
+	// spec string; kset entries carry no task field, exactly as before
+	// task specs existed.
 	Task string
-
-	// KTask is the k of the k-set consensus task decided when Solve is
-	// set and Task is empty — the pre-spec compat surface, equivalent
-	// to Task "kset:k=<KTask>". <= 0 selects 1 (consensus).
-	KTask int
 
 	// Family, when non-empty, restricts the sweep to a named adversary
 	// family ("t-resilient[:t=T]", "symmetric",
@@ -107,7 +98,7 @@ type Options struct {
 	MaxRounds int
 
 	// VerifyWitnesses re-validates every witness map found by the solve
-	// jobs through solver.VerifyWitnessWith (independent re-check of
+	// jobs through solver.VerifyWitnessTables (independent re-check of
 	// the FACT positive direction).
 	VerifyWitnesses bool
 
@@ -150,11 +141,11 @@ type Options struct {
 	// an uninterrupted run. A missing sidecar starts fresh.
 	Resume bool
 
-	// MaxIndices, when > 0, budgets this run to about that many newly
-	// swept enumeration indices (rounded up to whole shards). The run
-	// stops cleanly at a contiguous frontier and reports Incomplete —
-	// the deterministic form of an interruption, used with Checkpoint
-	// to split a campaign across sessions.
+	// MaxIndices, when > 0, budgets this run to exactly that many newly
+	// swept raw enumeration indices, in both full and orbit mode: the
+	// run stops cleanly at the frontier start+MaxIndices and reports
+	// Incomplete — the deterministic form of an interruption, used with
+	// Checkpoint to split a campaign across sessions.
 	MaxIndices uint64
 
 	// Budget, when > 0, is the wall-clock budget: once elapsed, workers
@@ -224,8 +215,8 @@ type Entry struct {
 	Undecided bool  `json:"undecided,omitempty"`
 
 	// Task is the canonical spec of the task a solve-mode sweep
-	// decided. Empty on the k-set consensus compat path, whose JSONL
-	// predates task specs and stays byte-identical.
+	// decided. Empty for k-set consensus, whose JSONL predates task
+	// specs and stays byte-identical.
 	Task string `json:"task,omitempty"`
 }
 
@@ -245,8 +236,9 @@ type Summary struct {
 	// Orbits counts canonical representatives emitted (orbit mode).
 	Orbits uint64 `json:"orbits,omitempty"`
 
-	// Solve-mode aggregates. KTask reports the kset compat path; Task
-	// is the canonical spec of every other decided task.
+	// Solve-mode aggregates. KTask is the k of a decided kset task (the
+	// pre-spec k_task field, kept byte-identical); Task is the canonical
+	// spec of every other decided task.
 	KTask     int    `json:"k_task,omitempty"`
 	Task      string `json:"task,omitempty"`
 	Solved    uint64 `json:"solved,omitempty"`
@@ -385,10 +377,6 @@ func Stream(n int, opts Options, sink Sink) (*Report, error) {
 		checkpointEvery = 1 << 16
 	}
 
-	if opts.Orbits {
-		env.orbits = adversary.NewOrbits(n)
-	}
-
 	sweep := env.tracer.Start("census.sweep", opts.TraceParent,
 		"n", strconv.Itoa(n),
 		"orbits", strconv.FormatBool(opts.Orbits),
@@ -396,20 +384,6 @@ func Stream(n int, opts Options, sink Sink) (*Report, error) {
 		"start", strconv.FormatUint(start, 10),
 		"end", strconv.FormatUint(end, 10))
 	defer sweep.End()
-
-	// Shard budget of a full-domain run: whole domain remainder,
-	// optionally capped by MaxIndices (rounded up to whole shards so
-	// the frontier stays contiguous). Orbit runs are fed by the block
-	// producer instead, which enforces MaxIndices itself.
-	var shards uint64
-	if !opts.Orbits {
-		shards = (remaining + shardSize - 1) / shardSize
-		if opts.MaxIndices > 0 {
-			if budget := (opts.MaxIndices + shardSize - 1) / shardSize; budget < shards {
-				shards = budget
-			}
-		}
-	}
 
 	em := &emitter{
 		sink:            sink,
@@ -449,34 +423,35 @@ func Stream(n int, opts Options, sink Sink) (*Report, error) {
 		}()
 	}
 
-	// Orbit mode: a dedicated producer runs the stabilizer-aware
-	// canonical generator and slices its output into rank-contiguous
-	// blocks of shardSize representatives; workers claim blocks instead
-	// of raw index ranges. The channel capacity plus the reorder window
-	// bound the prefetched blocks, so memory stays O(workers×ShardSize)
-	// exactly as in the full-domain path.
+	// A dedicated producer walks the swept indices — every raw index of
+	// a full sweep (the trivial group: orbit size 0, so entries carry no
+	// orbit_size and weigh 1), or the canonical representatives of an
+	// orbit sweep — and slices them into blocks of shardSize indices;
+	// workers claim blocks. The channel capacity plus the reorder window
+	// bound the prefetched blocks, so memory stays O(workers×ShardSize).
 	//
-	// Solve-mode sweeps insert the big-orbit-first scheduler between the
+	// Solve sweeps insert the big-orbit-first scheduler between the
 	// producer and the workers: blocks are dispatched heaviest-first
 	// within a lookahead bounded by the emitter's reorder window, so the
 	// most expensive solve blocks start earliest (shorter stragglers fill
 	// the tail) while the emitted stream stays in sequence order —
-	// byte-identical to unscheduled dispatch.
-	var orbitBlocks chan orbitBlock
-	if env.orbits != nil {
-		produced := make(chan orbitBlock, workers*4)
-		prodQuit := make(chan struct{})
-		defer close(prodQuit)
-		go produceOrbitBlocks(env.orbits, produced, prodQuit, start, end, shardSize, opts.MaxIndices)
-		orbitBlocks = produced
-		if opts.Solve {
-			scheduled := make(chan orbitBlock)
-			go scheduleBigOrbitFirst(produced, scheduled, prodQuit, uint64(workers)*4)
-			orbitBlocks = scheduled
-		}
+	// byte-identical to unscheduled dispatch. Full-sweep blocks all
+	// weigh 0, so their dispatch stays FIFO.
+	walk := walkAll(total)
+	if opts.Orbits {
+		walk = adversary.NewOrbits(n).ForEachCanonicalFrom
+	}
+	produced := make(chan orbitBlock, workers*4)
+	prodQuit := make(chan struct{})
+	defer close(prodQuit)
+	go produceOrbitBlocks(walk, produced, prodQuit, start, end, shardSize, opts.MaxIndices)
+	var blocks <-chan orbitBlock = produced
+	if opts.Solve {
+		scheduled := make(chan orbitBlock)
+		go scheduleBigOrbitFirst(produced, scheduled, prodQuit, uint64(workers)*4)
+		blocks = scheduled
 	}
 
-	var cursor atomic.Uint64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -487,100 +462,57 @@ func Stream(n int, opts Options, sink Sink) (*Report, error) {
 				if stop.Load() || em.aborted() {
 					return
 				}
-				var s uint64
-				var blk orbitBlock
-				if orbitBlocks != nil {
-					b, ok := <-orbitBlocks
-					if !ok {
-						return
-					}
-					blk, s = b, b.seq
-				} else {
-					s = cursor.Add(1) - 1
-					if s >= shards {
-						return
-					}
+				blk, ok := <-blocks
+				if !ok {
+					return
 				}
-				if !em.waitTurn(s) {
+				if !em.waitTurn(blk.seq) {
 					return
 				}
 				shardSpan := env.tracer.Start("census.shard", sweep.ID(),
-					"seq", strconv.FormatUint(s, 10))
+					"seq", strconv.FormatUint(blk.seq, 10))
 				shardStart := time.Now()
 				buf = buf[:0]
-				var covered uint64
+				// Stop lands between indices, not blocks: a solve job can
+				// take minutes per index, so the block is truncated here
+				// and delivered short — the reorder buffer cuts the run
+				// off at its boundary. The raw frontier after a
+				// truncation is just past the last examined index.
+				covered := blk.lo
 				short := false
-				if orbitBlocks != nil {
-					// Stop lands between representatives, not blocks: a
-					// solve job can take minutes per representative, so
-					// the block is truncated here and delivered short —
-					// the reorder buffer cuts the run off at its
-					// boundary. The raw frontier after a truncation is
-					// just past the last examined representative.
-					covered = blk.lo
-					for _, r := range blk.reps {
-						if stop.Load() {
-							short = true
-							break
-						}
-						// Family filter: non-members still advance the
-						// frontier (checkpoints stay whole-domain) but are
-						// never examined or emitted.
-						if family != nil && !family.member(r.idx) {
-							covered = r.idx + 1
-							continue
-						}
-						if opts.examineHook != nil {
-							opts.examineHook(r.idx)
-						}
+				for _, r := range blk.reps {
+					if stop.Load() {
+						short = true
+						break
+					}
+					// Family filter: non-members still advance the
+					// frontier (checkpoints stay whole-domain) but are
+					// never examined or emitted.
+					if family != nil && !family.member(r.idx) {
 						covered = r.idx + 1
-						e, err := env.examine(r.idx, shardSpan.ID())
-						if err != nil {
-							em.fail(err)
-							return
-						}
-						e.OrbitSize = r.size
-						buf = append(buf, e)
+						continue
 					}
-					if !short {
-						covered = blk.hi
+					if opts.examineHook != nil {
+						opts.examineHook(r.idx)
 					}
-				} else {
-					lo := start + s*shardSize
-					hi := lo + shardSize
-					if hi > end {
-						hi = end
+					covered = r.idx + 1
+					e, err := env.examine(r.idx, shardSpan.ID())
+					if err != nil {
+						em.fail(err)
+						return
 					}
-					covered = lo
-					for idx := lo; idx < hi; idx++ {
-						// Same mid-shard stop as the orbit path above.
-						if stop.Load() {
-							break
-						}
-						// Same family filter as the orbit path above.
-						if family != nil && !family.member(idx) {
-							covered = idx + 1
-							continue
-						}
-						if opts.examineHook != nil {
-							opts.examineHook(idx)
-						}
-						covered = idx + 1
-						e, err := env.examine(idx, shardSpan.ID())
-						if err != nil {
-							em.fail(err)
-							return
-						}
-						buf = append(buf, e)
-					}
-					short = covered < hi
+					e.OrbitSize = r.size
+					buf = append(buf, e)
+				}
+				if !short {
+					covered = blk.hi
 				}
 				censusShardSeconds.Observe(time.Since(shardStart).Seconds())
 				shardSpan.SetAttr("entries", strconv.Itoa(len(buf)))
 				shardSpan.End()
 				entries := make([]Entry, len(buf))
 				copy(entries, buf)
-				if !em.deliver(s, entries, covered, short) {
+				if !em.deliver(blk.seq, entries, covered, short) {
 					return
 				}
 			}
@@ -611,7 +543,7 @@ func Stream(n int, opts Options, sink Sink) (*Report, error) {
 	}
 	if opts.Solve {
 		if env.spec.IsKSet() {
-			rep.Summary.KTask = env.kTask
+			rep.Summary.KTask = env.spec.Param("k")
 		} else {
 			rep.Summary.Task = env.taskField
 		}
@@ -666,15 +598,15 @@ type parkedShard struct {
 	short   bool
 }
 
-// canonRep is one canonical orbit representative with its orbit size,
-// as emitted by the stabilizer-aware generator.
+// canonRep is one swept index with its orbit size: a canonical orbit
+// representative from the stabilizer-aware generator, or any index of
+// a full sweep with size 0 (the trivial group).
 type canonRep struct{ idx, size uint64 }
 
-// orbitBlock is one orbit-mode work unit: a rank-contiguous slice of
-// the canonical sequence (shardSize representatives, except the last),
-// plus the raw index range [lo, hi) it accounts for — every canonical
-// index in that range is in reps, so hi is the raw frontier once the
-// block is emitted.
+// orbitBlock is one work unit: a rank-contiguous slice of the swept
+// sequence (shardSize indices, except the last), plus the raw index
+// range [lo, hi) it accounts for — every swept index in that range is
+// in reps, so hi is the raw frontier once the block is emitted.
 type orbitBlock struct {
 	seq  uint64
 	reps []canonRep
@@ -682,16 +614,30 @@ type orbitBlock struct {
 	hi   uint64
 }
 
-// produceOrbitBlocks walks the canonical sequence from the resume
-// frontier and slices it into rank blocks, with the channel send as
+// indexWalk visits the swept indices from start upward with their orbit
+// sizes until f returns false: Orbits.ForEachCanonicalFrom for orbit
+// sweeps, walkAll for full ones.
+type indexWalk func(start uint64, f func(idx, size uint64) bool)
+
+// walkAll is the full sweep's walk: every raw index below total, under
+// the trivial group (orbit size 0, so entries weigh 1 and carry no
+// orbit_size).
+func walkAll(total uint64) indexWalk {
+	return func(start uint64, f func(idx, size uint64) bool) {
+		for idx := start; idx < total && f(idx, 0); idx++ {
+		}
+	}
+}
+
+// produceOrbitBlocks walks the swept sequence from the resume frontier
+// and slices it into rank blocks, with the channel send as
 // backpressure (capacity + reorder window bound prefetch). MaxIndices
-// budgets the sweep in raw enumeration indices, exactly like the
-// full-domain path: the walk ends at the first representative at or
-// beyond start+maxIndices and the final block's hi lands on that
-// boundary, so the checkpointed frontier covers every skipped
-// non-canonical index below it. quit unblocks the producer when the
-// run winds down early (stop, budget, failure).
-func produceOrbitBlocks(o *adversary.Orbits, out chan<- orbitBlock, quit <-chan struct{}, start, total, shardSize, maxIndices uint64) {
+// budgets the sweep in raw enumeration indices: the walk ends at the
+// first index at or beyond start+maxIndices and the final block's hi
+// lands on that boundary, so the checkpointed frontier covers every
+// skipped non-canonical index below it. quit unblocks the producer when
+// the run winds down early (stop, budget, failure).
+func produceOrbitBlocks(walk indexWalk, out chan<- orbitBlock, quit <-chan struct{}, start, total, shardSize, maxIndices uint64) {
 	defer close(out)
 	limit := total
 	// Overflow-safe: start+maxIndices can wrap on an "effectively
@@ -700,9 +646,12 @@ func produceOrbitBlocks(o *adversary.Orbits, out chan<- orbitBlock, quit <-chan 
 	if maxIndices > 0 && maxIndices < total-start {
 		limit = start + maxIndices
 	}
-	blk := orbitBlock{lo: start}
+	newBlock := func(seq, lo uint64) orbitBlock {
+		return orbitBlock{seq: seq, lo: lo, reps: make([]canonRep, 0, shardSize)}
+	}
+	blk := newBlock(0, start)
 	aborted := false
-	o.ForEachCanonicalFrom(start, func(idx, size uint64) bool {
+	walk(start, func(idx, size uint64) bool {
 		if idx >= limit {
 			return false
 		}
@@ -717,15 +666,15 @@ func produceOrbitBlocks(o *adversary.Orbits, out chan<- orbitBlock, quit <-chan 
 			aborted = true
 			return false
 		}
-		blk = orbitBlock{seq: blk.seq + 1, lo: idx + 1}
+		blk = newBlock(blk.seq+1, idx+1)
 		return true
 	})
-	if aborted {
+	if aborted || (len(blk.reps) == 0 && blk.lo == limit) {
 		return
 	}
-	// Final (possibly empty) block: advances the raw frontier to the
-	// sweep limit — every canonical representative below it is in a
-	// block, so the non-canonical tail is accounted for.
+	// Final block: advances the raw frontier to the sweep limit — every
+	// swept index below it is in a block, so the non-canonical tail is
+	// accounted for.
 	blk.hi = limit
 	select {
 	case out <- blk:
@@ -875,10 +824,9 @@ func (em *emitter) deliver(s uint64, entries []Entry, hi uint64, short bool) boo
 			em.aggregate(e)
 		}
 		em.nextShard++
-		// Every shard reports the first raw index it did not cover —
-		// the raw-index frontier either way, which is what keeps
-		// checkpoints compatible between full-domain shards and
-		// orbit-mode rank blocks.
+		// Every block reports the first raw index it did not cover —
+		// the raw-index frontier in both modes, which is what keeps
+		// checkpoints readable whatever block size wrote them.
 		em.frontierIdx = batch.hi
 		if batch.short {
 			em.cutoff = true

@@ -72,7 +72,7 @@ func TestCensusDeterminism(t *testing.T) {
 // tiny towers) and checks worker-count invariance of the solve fields
 // and cache statistics too.
 func TestCensusSolveDeterminism(t *testing.T) {
-	opts := Options{Solve: true, KTask: 1, VerifyWitnesses: true}
+	opts := Options{Solve: true, Task: "kset:k=1", VerifyWitnesses: true}
 	opts.Workers = 1
 	serial, err := Run(2, opts)
 	if err != nil {
@@ -103,7 +103,7 @@ func TestCensusSolveFACT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solve census over 128 adversaries in -short mode")
 	}
-	rep, err := Run(3, Options{Solve: true, KTask: 2})
+	rep, err := Run(3, Options{Solve: true, Task: "kset:k=2"})
 	if err != nil {
 		t.Fatal(err)
 	}

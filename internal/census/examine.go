@@ -26,37 +26,28 @@ type runEnv struct {
 	all       []procs.Set
 	universe  *chromatic.Universe
 	cache     *chromatic.TowerCache
-	orbits    *adversary.Orbits
 	solve     bool
 	spec      tasks.Spec
-	taskField string // Entry.Task value: the spec string, "" on the kset compat path
+	taskField string // Entry.Task value: the spec string, "" for kset
 	taskLabel string // metric label: the spec string when solving, "classify" otherwise
-	kTask     int
 	maxRounds int
 	verify    bool
 	tracer    *obs.Tracer
 }
 
 // newRunEnv normalizes the examination-shaping options into the shared
-// environment: the resolved task spec (Options.Task, or the KTask
-// compat path), defaulted rounds, a Universe (the run-private default,
-// or opts.Universe to share e.g. chromatic.SharedUniverse across
-// engines), and a TowerCache (opts.Cache, or a private one budgeted by
+// environment: the resolved task spec (Options.Task, or kset:k=1),
+// defaulted rounds, a Universe (the run-private default, or
+// opts.Universe to share e.g. chromatic.SharedUniverse across engines),
+// and a TowerCache (opts.Cache, or a private one budgeted by
 // CacheBytes).
 func newRunEnv(n int, opts *Options) (*runEnv, error) {
-	kTask := opts.KTask
-	if kTask <= 0 {
-		kTask = 1
-	}
-	spec := tasks.KSetSpec(kTask)
+	spec := tasks.KSetSpec(1)
 	if opts.Task != "" {
 		var err error
 		spec, err = tasks.ParseSpec(opts.Task)
 		if err != nil {
 			return nil, fmt.Errorf("census: %w", err)
-		}
-		if spec.IsKSet() {
-			kTask = spec.Param("k")
 		}
 		// Naming a task is asking for its decision: Task implies Solve,
 		// like the factool -task flag. Mutated through the pointer so
@@ -107,7 +98,6 @@ func newRunEnv(n int, opts *Options) (*runEnv, error) {
 		spec:      spec,
 		taskField: taskField,
 		taskLabel: taskLabel,
-		kTask:     kTask,
 		maxRounds: maxRounds,
 		verify:    opts.VerifyWitnesses,
 		tracer:    tracer,
@@ -205,7 +195,7 @@ type Examiner struct {
 }
 
 // NewExaminer builds an examiner for n-process queries. Only the
-// examination-shaping options are read: Solve, Task/KTask, MaxRounds,
+// examination-shaping options are read: Solve, Task, MaxRounds,
 // VerifyWitnesses, Cache/CacheBytes and Universe. Pass
 // chromatic.SharedUniverse(n) as opts.Universe to share the vertex
 // identity space with other engines of the process.
@@ -224,7 +214,7 @@ func NewExaminer(n int, opts Options) (*Examiner, error) {
 func (x *Examiner) N() int { return x.env.n }
 
 // TaskSpec returns the canonical spec of the task the examiner decides
-// in solve mode (the kset spec on the KTask compat path).
+// in solve mode (kset:k=1 when Options.Task was empty).
 func (x *Examiner) TaskSpec() string { return x.env.spec.String() }
 
 // Examine classifies (and, when the examiner solves, decides) the

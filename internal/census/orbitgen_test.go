@@ -8,6 +8,7 @@ package census
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -121,22 +122,43 @@ func TestOrbitResumeFromFilterEraCheckpoint(t *testing.T) {
 }
 
 // TestOrbitMaxIndicesFrontier checks the raw-index budget lands the
-// frontier exactly at start+MaxIndices even though work units are rank
-// blocks — the non-canonical tail below the boundary is accounted for.
+// frontier exactly at start+MaxIndices in both modes and at every block
+// size — orbit blocks account for the non-canonical tail below the
+// boundary, full-sweep blocks end short at it — and that resuming from
+// that frontier is byte-identical to an uninterrupted sweep.
 func TestOrbitMaxIndicesFrontier(t *testing.T) {
 	dir := t.TempDir()
-	out := filepath.Join(dir, "out.jsonl")
-	ck := filepath.Join(dir, "ck.json")
-	rep := runJSONL(t, 3, Options{Orbits: true, Workers: 2, ShardSize: 4, Checkpoint: ck, MaxIndices: 50}, out)
-	if !rep.Incomplete {
-		t.Fatal("budgeted orbit run not incomplete")
-	}
-	if rep.NextIndex != 50 {
-		t.Fatalf("frontier %d, want the raw budget boundary 50", rep.NextIndex)
-	}
-	want, _, _ := filterReferenceJSONL(t, 3, 50)
-	if !bytes.Equal(readFile(t, out), want) {
-		t.Fatal("budgeted orbit prefix differs from the filter reference")
+	for _, orbits := range []bool{false, true} {
+		full := filepath.Join(dir, fmt.Sprintf("full-%v.jsonl", orbits))
+		runJSONL(t, 3, Options{Orbits: orbits}, full)
+		for _, shard := range []int{4, 8} {
+			name := fmt.Sprintf("orbits=%v,shard=%d", orbits, shard)
+			out := filepath.Join(dir, name+".jsonl")
+			ck := filepath.Join(dir, name+".ck.json")
+			opts := Options{Orbits: orbits, Workers: 2, ShardSize: shard, Checkpoint: ck, MaxIndices: 50}
+			rep := runJSONL(t, 3, opts, out)
+			if !rep.Incomplete || rep.NextIndex != 50 {
+				t.Fatalf("%s: budgeted run incomplete=%v at frontier %d, want the raw budget boundary 50",
+					name, rep.Incomplete, rep.NextIndex)
+			}
+			prefix := readFile(t, out)
+			want := readFile(t, full)[:len(prefix)]
+			if orbits {
+				want, _, _ = filterReferenceJSONL(t, 3, 50)
+			} else if lines := bytes.Count(prefix, []byte{'\n'}); lines != 50 {
+				t.Fatalf("%s: budgeted full sweep emitted %d entries, want 50", name, lines)
+			}
+			if !bytes.Equal(prefix, want) {
+				t.Fatalf("%s: budgeted prefix differs from the reference", name)
+			}
+			opts.Resume, opts.MaxIndices = true, 0
+			if fin := runJSONL(t, 3, opts, out); fin.Incomplete {
+				t.Fatalf("%s: resumed run incomplete at %d", name, fin.NextIndex)
+			}
+			if !bytes.Equal(readFile(t, out), readFile(t, full)) {
+				t.Fatalf("%s: resumed stream differs from the uninterrupted sweep", name)
+			}
+		}
 	}
 }
 

@@ -2,10 +2,10 @@ package census
 
 // Rank-range-scoped sweeps: the library entrypoint the distributed
 // fabric's workers drive. A range sweep is an ordinary Stream over the
-// raw index window [lo, hi) — full-domain shards or orbit blocks alike
-// — so its output is byte-identical to the corresponding slice of a
-// whole-domain sweep, and shards produced by disjoint ranges merge
-// into exactly the single-node store.
+// raw index window [lo, hi), in full or orbit mode alike, so its output
+// is byte-identical to the corresponding slice of a whole-domain sweep,
+// and shards produced by disjoint ranges merge into exactly the
+// single-node store.
 
 import (
 	"errors"

@@ -7,6 +7,8 @@ package census
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"path/filepath"
@@ -15,26 +17,66 @@ import (
 	"repro/internal/adversary"
 )
 
-// TestTaskSpecKsetBytesPinned pins the acceptance criterion: a census
-// run with -task kset:k=2 is byte-identical to the pre-spec -ktask 2
-// path — entries carry no task field, the summary reports KTask.
+// TestTaskSpecKsetBytesPinned pins the kset path to bytes recorded
+// before task specs replaced the KTask option: the JSONL streams of
+// Solve alone (k=1) and of Task "kset:k=2" (no entry carries a task
+// field), the k=2 summary (k_task set, no task field) and its
+// checkpoint fingerprint, whose pre-spec `k=<k>` segment keeps old
+// sidecars resumable.
 func TestTaskSpecKsetBytesPinned(t *testing.T) {
 	dir := t.TempDir()
-	old := filepath.Join(dir, "ktask.jsonl")
-	spec := filepath.Join(dir, "spec.jsonl")
-	repOld := runJSONL(t, 3, Options{Workers: 4, Solve: true, KTask: 2}, old)
-	repSpec := runJSONL(t, 3, Options{Workers: 4, Solve: true, Task: "kset:k=2"}, spec)
-	if !bytes.Equal(readFile(t, old), readFile(t, spec)) {
-		t.Fatal("-task kset:k=2 stream differs from the -ktask 2 stream")
-	}
-	if repSpec.Summary.KTask != 2 || repSpec.Summary.Task != "" {
-		t.Fatalf("kset spec summary: KTask=%d Task=%q, want 2 and empty", repSpec.Summary.KTask, repSpec.Summary.Task)
-	}
-	if got, want := jsonString(t, repSpec.Summary), jsonString(t, repOld.Summary); got != want {
-		t.Fatalf("summaries differ:\n%s\n%s", got, want)
-	}
-	if bytes.Contains(readFile(t, spec), []byte(`"task"`)) {
-		t.Fatal("kset entries must not carry the task field")
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		sha256  string
+		size    int
+		summary string // "" skips the summary pin
+		fp      string // "" skips the fingerprint pin
+	}{
+		{
+			name:   "k=1",
+			opts:   Options{Workers: 4, Solve: true},
+			sha256: "63feb4b2ebd4398d7771e46aa99991e96abd8138bee05fe0f06fcc01a5f86a8a",
+			size:   22282,
+		},
+		{
+			name:    "k=2",
+			opts:    Options{Workers: 4, Task: "kset:k=2"},
+			sha256:  "7efb61bed1833eb2166bdd44e368615f91d6c135602826de21b0b4948df431fa",
+			size:    22462,
+			summary: `{"n":3,"total":128,"superset_closed":19,"symmetric":8,"fair":44,"inclusion_violations":0,"setcon_hist":[1,24,18,1],"k_task":2,"solved":43,"solvable":42,"undecided":1}`,
+			fp:      "census:v1:n=3:orbits=false:solve=true:k=2:rounds=1:verify=false",
+		},
+	} {
+		out := filepath.Join(dir, tc.name+".jsonl")
+		ck := filepath.Join(dir, tc.name+".ck.json")
+		tc.opts.Checkpoint = ck
+		rep := runJSONL(t, 3, tc.opts, out)
+		b := readFile(t, out)
+		if sum := sha256.Sum256(b); len(b) != tc.size || hex.EncodeToString(sum[:]) != tc.sha256 {
+			t.Errorf("%s: stream is %d bytes with sha256 %x, want %d bytes with %s",
+				tc.name, len(b), sum, tc.size, tc.sha256)
+		}
+		if bytes.Contains(b, []byte(`"task"`)) {
+			t.Errorf("%s: kset entries must not carry the task field", tc.name)
+		}
+		if rep.Summary.Task != "" {
+			t.Errorf("%s: summary task %q, want empty", tc.name, rep.Summary.Task)
+		}
+		if tc.summary != "" {
+			if got := jsonString(t, rep.Summary); got != tc.summary {
+				t.Errorf("%s: summary\n%s\nwant\n%s", tc.name, got, tc.summary)
+			}
+		}
+		if tc.fp != "" {
+			sidecar, err := LoadCheckpoint(ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sidecar.Fingerprint != tc.fp {
+				t.Errorf("%s: fingerprint %q, want %q", tc.name, sidecar.Fingerprint, tc.fp)
+			}
+		}
 	}
 }
 
@@ -76,7 +118,7 @@ func TestConsensusSpecMatchesKSet1(t *testing.T) {
 	dir := t.TempDir()
 	ks := filepath.Join(dir, "kset1.jsonl")
 	cons := filepath.Join(dir, "consensus.jsonl")
-	runJSONL(t, 3, Options{Workers: 4, Solve: true, KTask: 1}, ks)
+	runJSONL(t, 3, Options{Workers: 4, Solve: true, Task: "kset:k=1"}, ks)
 	runJSONL(t, 3, Options{Workers: 4, Task: "consensus"}, cons)
 	ksLines := bytes.Split(bytes.TrimSpace(readFile(t, ks)), []byte{'\n'})
 	consLines := bytes.Split(bytes.TrimSpace(readFile(t, cons)), []byte{'\n'})
@@ -117,7 +159,7 @@ func TestCheckpointTaskMismatchRejected(t *testing.T) {
 		t.Fatal("budgeted run not incomplete")
 	}
 	for _, bad := range []Options{
-		{Workers: 1, Solve: true, KTask: 1, Checkpoint: ck, Resume: true},
+		{Workers: 1, Solve: true, Task: "kset:k=1", Checkpoint: ck, Resume: true},
 		{Workers: 1, Task: "approx:eps=1", Checkpoint: ck, Resume: true},
 		{Workers: 1, Task: "loop-agreement", Family: "symmetric", Checkpoint: ck, Resume: true},
 	} {

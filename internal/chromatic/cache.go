@@ -143,7 +143,7 @@ func (ct *CachedTower) Release() {
 }
 
 // resize refreshes the recorded size of a grown tower and enforces the
-// budget. Called after EnsureHeight extensions.
+// budget. Called after EnsureHeightTables extensions.
 func (c *TowerCache) resize(ct *CachedTower) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -257,17 +257,8 @@ func (c *TowerCache) Len() int {
 }
 
 // Tower returns the underlying tower. Callers must only read levels up
-// to a height previously ensured via EnsureHeight.
+// to a height previously ensured via EnsureHeightTables.
 func (ct *CachedTower) Tower() *Tower { return ct.tower }
-
-// EnsureHeight extends the tower to at least the given height using the
-// membership predicate, which must match the signature the tower was
-// acquired under. Concurrent calls are serialized; already-built levels
-// are never rebuilt. Compat form of EnsureHeightTables — the callback
-// is adapted with TablesOf per call.
-func (ct *CachedTower) EnsureHeight(member Membership, height int) error {
-	return ct.EnsureHeightTables(TablesOf(member), height)
-}
 
 // EnsureHeightTables extends the tower to at least the given height
 // using the membership-table provider (the rank-indexed fast path),

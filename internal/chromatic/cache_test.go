@@ -12,7 +12,7 @@ import (
 func TestTowerCacheEviction(t *testing.T) {
 	base := standardBase(t, 3)
 	one := NewTower(base)
-	if err := one.Extend(FullChr2Membership); err != nil {
+	if err := one.ExtendTables(FullChr2Tables); err != nil {
 		t.Fatal(err)
 	}
 	towerBytes := one.ApproxBytes()
@@ -24,7 +24,7 @@ func TestTowerCacheEviction(t *testing.T) {
 	cache := NewTowerCacheWithBudget(2*towerBytes + towerBytes/2)
 	acquire := func(sig string) *CachedTower {
 		ct := cache.Acquire(sig, base, 1)
-		if err := ct.EnsureHeight(FullChr2Membership, 1); err != nil {
+		if err := ct.EnsureHeightTables(FullChr2Tables, 1); err != nil {
 			t.Fatal(err)
 		}
 		return ct
@@ -55,13 +55,13 @@ func TestTowerCacheEviction(t *testing.T) {
 func TestTowerCacheLRUOrder(t *testing.T) {
 	base := standardBase(t, 3)
 	probe := NewTower(base)
-	if err := probe.Extend(FullChr2Membership); err != nil {
+	if err := probe.ExtendTables(FullChr2Tables); err != nil {
 		t.Fatal(err)
 	}
 	cache := NewTowerCacheWithBudget(2*probe.ApproxBytes() + probe.ApproxBytes()/2)
 	build := func(sig string) {
 		ct := cache.Acquire(sig, base, 1)
-		if err := ct.EnsureHeight(FullChr2Membership, 1); err != nil {
+		if err := ct.EnsureHeightTables(FullChr2Tables, 1); err != nil {
 			t.Fatal(err)
 		}
 		ct.Release()
@@ -89,12 +89,12 @@ func TestTowerCachePinnedSurvives(t *testing.T) {
 	base := standardBase(t, 3)
 	cache := NewTowerCacheWithBudget(1) // everything over budget
 	pinned := cache.Acquire("pinned", base, 1)
-	if err := pinned.EnsureHeight(FullChr2Membership, 1); err != nil {
+	if err := pinned.EnsureHeightTables(FullChr2Tables, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
 		ct := cache.Acquire(fmt.Sprintf("other-%d", i), base, 1)
-		if err := ct.EnsureHeight(FullChr2Membership, 1); err != nil {
+		if err := ct.EnsureHeightTables(FullChr2Tables, 1); err != nil {
 			t.Fatal(err)
 		}
 		ct.Release() // immediately evictable: budget is 1 byte
@@ -114,7 +114,7 @@ func TestTowerCachePinnedSurvives(t *testing.T) {
 		t.Fatalf("len = %d, want 0 once every pin is released", cache.Len())
 	}
 	// The held tower object itself must remain usable after eviction.
-	if err := pinned.EnsureHeight(FullChr2Membership, 2); err != nil {
+	if err := pinned.EnsureHeightTables(FullChr2Tables, 2); err != nil {
 		t.Fatalf("evicted-but-held tower failed to extend: %v", err)
 	}
 	if pinned.Tower().Height() != 2 {
@@ -131,7 +131,7 @@ func TestTowerCacheUnboundedNeverEvicts(t *testing.T) {
 	cache := NewTowerCache()
 	for i := 0; i < 5; i++ {
 		ct := cache.Acquire(fmt.Sprintf("sig-%d", i), base, 1)
-		if err := ct.EnsureHeight(FullChr2Membership, 1); err != nil {
+		if err := ct.EnsureHeightTables(FullChr2Tables, 1); err != nil {
 			t.Fatal(err)
 		}
 		// No Release: unbounded caches must not care.
@@ -152,7 +152,7 @@ func TestSetMaxBytesEvictsImmediately(t *testing.T) {
 	cache := NewTowerCache()
 	for i := 0; i < 3; i++ {
 		ct := cache.Acquire(fmt.Sprintf("sig-%d", i), base, 1)
-		if err := ct.EnsureHeight(FullChr2Membership, 1); err != nil {
+		if err := ct.EnsureHeightTables(FullChr2Tables, 1); err != nil {
 			t.Fatal(err)
 		}
 		ct.Release()

@@ -190,7 +190,7 @@ func close(a, b float64) bool {
 func TestApplyAffineFullChr2(t *testing.T) {
 	// Applying full Chr² to the standard 2-simplex reproduces Chr² s.
 	input := standardComplex(t, 3)
-	it, err := ApplyAffine(input, FullChr2Membership)
+	it, err := ApplyAffineTables(input, FullChr2Tables, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestTowerCarriers(t *testing.T) {
 	input := standardComplex(t, 2)
 	tower := NewTower(input)
 	for i := 0; i < 2; i++ {
-		if err := tower.Extend(FullChr2Membership); err != nil {
+		if err := tower.ExtendTables(FullChr2Tables); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -265,7 +265,7 @@ func TestApplyAffineRejectsNonChromatic(t *testing.T) {
 	if err := bad.AddSimplex(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ApplyAffine(bad, FullChr2Membership); err == nil {
+	if _, err := ApplyAffineTables(bad, FullChr2Tables, 0); err == nil {
 		t.Errorf("expected chromaticity error")
 	}
 }

@@ -10,8 +10,9 @@ package chromatic
 // lookup), per-partition IS views come from the flat per-ground tables
 // of partitions.go, and the per-work-unit vertex memo is a
 // generation-counter arena indexed by (process, round-2 view) — reset by
-// bumping a counter, not by reallocation. The Membership callback form
-// remains supported through the TablesOf adapter.
+// bumping a counter, not by reallocation. Every entry point takes a
+// MemberTables provider; a Membership predicate becomes one through
+// TablesOf.
 //
 // Construction fans out across a bounded worker pool: the unit of work
 // is one (base face, first-round schedule) pair, whose second-round
@@ -37,12 +38,13 @@ import (
 // colors) yields a simplex of the affine task L ⊆ Chr² s. The full Chr²
 // subdivision is the constant-true predicate.
 //
-// This is the generic/compat form. The engine's fast path consumes
-// precomputed MembershipTable bitsets (membership.go); callbacks are
-// adapted with TablesOf, which evaluates the predicate exactly once per
-// run per ground set. Predicates must therefore be pure — the table is
-// their permanent answer — and safe for concurrent calls (affine
-// task predicates and FullChr2Membership are).
+// The engine consumes precomputed MembershipTable bitsets
+// (membership.go); a predicate reaches it through NewMembershipTable or
+// TablesOf, which evaluate it exactly once per run per ground set.
+// Predicates must therefore be pure — the table is their permanent
+// answer — and safe for concurrent calls (affine task predicates and
+// FullChr2Membership are). The table-equivalence tests use predicates
+// as the oracle the tables are checked against.
 //
 // The enumerators pass the run's binary key alongside it, assembled from
 // the per-partition packed-key table (partitions.go) instead of
@@ -72,29 +74,12 @@ type Iterated struct {
 // ErrNotChromaticBase is returned when the base complex is not chromatic.
 var ErrNotChromaticBase = errors.New("base complex is not chromatic")
 
-// ApplyAffine computes L(base) with the default worker count: for every
-// simplex σ of the base complex and every 2-round run over χ(σ) accepted
-// by member, the corresponding facet of Chr²(σ) is added. Carriers of
-// new vertices point into base.
-//
-// Compat form: the callback is adapted with TablesOf (evaluated once per
-// run per ground). Callers holding a table provider — affine.Task is one
-// — should use ApplyAffineTables directly.
-func ApplyAffine(base *sc.Complex, member Membership) (*Iterated, error) {
-	return ApplyAffineTables(base, TablesOf(member), 0)
-}
-
-// ApplyAffineWorkers is ApplyAffine with an explicit worker count.
-// workers <= 0 selects DefaultWorkers(); workers == 1 runs the serial
-// reference path. The output is byte-identical across worker counts.
-func ApplyAffineWorkers(base *sc.Complex, member Membership, workers int) (*Iterated, error) {
-	return ApplyAffineTables(base, TablesOf(member), workers)
-}
-
-// ApplyAffineTables computes L(base) from a membership-table provider —
-// the rank-indexed fast path. workers <= 0 selects DefaultWorkers();
-// workers == 1 runs the serial reference path. The output is
-// byte-identical across worker counts.
+// ApplyAffineTables computes L(base) from a membership-table provider:
+// for every simplex σ of the base complex and every 2-round run over
+// χ(σ) the provider's table accepts, the corresponding facet of Chr²(σ)
+// is added, with carriers of new vertices pointing into base. workers
+// <= 0 selects DefaultWorkers(); workers == 1 runs the serial reference
+// path. The output is byte-identical across worker counts.
 func ApplyAffineTables(base *sc.Complex, tables MemberTables, workers int) (*Iterated, error) {
 	if workers <= 0 {
 		workers = DefaultWorkers()
@@ -480,11 +465,11 @@ func (it *Iterated) SimplexCarrier(s sc.Simplex) sc.Simplex {
 }
 
 // Tower is an iterated application L^ℓ(I): level 0 is the input complex,
-// each Extend applies an affine task (or full Chr²) to the top.
+// each ExtendTables applies an affine task (or full Chr²) to the top.
 //
 // A Tower may be shared by concurrent readers (carrier queries and
-// level access are mutex-guarded); Extend calls must be serialized by
-// the caller — TowerCache does so for cached towers.
+// level access are mutex-guarded); ExtendTables calls must be
+// serialized by the caller — TowerCache does so for cached towers.
 type Tower struct {
 	Input  *sc.Complex
 	Levels []*Iterated
@@ -500,8 +485,8 @@ func NewTower(input *sc.Complex) *Tower {
 	return &Tower{Input: input, rootCache: make(map[int]map[sc.VertexID]sc.Simplex)}
 }
 
-// SetWorkers fixes the worker count used by subsequent Extend calls
-// (<= 0 selects DefaultWorkers()).
+// SetWorkers fixes the worker count used by subsequent ExtendTables
+// calls (<= 0 selects DefaultWorkers()).
 func (t *Tower) SetWorkers(workers int) { t.workers = workers }
 
 // Top returns the current top complex (the input when no levels exist).
@@ -518,13 +503,6 @@ func (t *Tower) LevelComplex(level int) *sc.Complex {
 		return t.Input
 	}
 	return t.Levels[level-1].Complex
-}
-
-// Extend applies one round of the affine task to the top of the tower.
-// Compat form of ExtendTables — the callback is adapted with TablesOf
-// per call; callers extending repeatedly should hold a table provider.
-func (t *Tower) Extend(member Membership) error {
-	return t.ExtendTables(TablesOf(member))
 }
 
 // ExtendTables applies one round of the affine task, given by its

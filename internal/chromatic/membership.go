@@ -12,10 +12,10 @@ package chromatic
 // evaluate each predicate exactly once per (provider, ground) instead
 // of once per enumeration visit.
 //
-// The Membership callback remains the generic/compat path: TablesOf
-// adapts any callback into a caching table provider, and
-// MembershipTable.Membership adapts a table back into a callback, with
-// equivalence pinned by tests.
+// Every engine entry point takes a MemberTables provider. A Membership
+// predicate becomes a table through NewMembershipTable (one ground) or
+// TablesOf (a caching provider); the predicates stay as the oracle the
+// table-equivalence tests check against.
 
 import (
 	"sync"
@@ -127,46 +127,8 @@ func (mt *MembershipTable) RowAny(i int) bool {
 	return false
 }
 
-// Membership adapts the table back into the callback form — the
-// generic/compat path. The returned predicate answers by rank lookup
-// (resolving the run's schedules to their partition indices through the
-// packed-key index) and is safe for concurrent use. It must only be
-// invoked on runs over the table's ground set.
-func (mt *MembershipTable) Membership() Membership {
-	t := partitionsFor(mt.ground)
-	return func(r Run2, key RunKey) bool {
-		if mt.words == nil {
-			return true
-		}
-		if t.index == nil {
-			// Beyond packed capacity RunKey derivation panics before this
-			// point; keep the structural fallback for completeness.
-			i, j := t.indexOfSlow(r.R1), t.indexOfSlow(r.R2)
-			return mt.Contains(RunRank(i*mt.nParts + j))
-		}
-		i, ok1 := t.index[key.R1]
-		j, ok2 := t.index[key.R2]
-		if !ok1 || !ok2 {
-			return false
-		}
-		return mt.Contains(RunRank(i*mt.nParts + j))
-	}
-}
-
-// indexOfSlow locates a partition in the table by structural equality —
-// only reachable for grounds beyond the packed-key capacity.
-func (t *partTable) indexOfSlow(p procs.OrderedPartition) int {
-	for i, q := range t.parts {
-		if q.Equal(p) {
-			return i
-		}
-	}
-	return -1
-}
-
 // MemberTables provides the precomputed membership table of any ground
-// set — the table-form counterpart of the Membership callback, accepted
-// by ApplyAffineTables, Tower.ExtendTables and
+// set, accepted by ApplyAffineTables, Tower.ExtendTables and
 // CachedTower.EnsureHeightTables. affine.Task implements it natively;
 // TablesOf adapts a callback. Implementations must be safe for
 // concurrent use.

@@ -17,7 +17,7 @@ var pseudoMember Membership = func(_ Run2, key RunKey) bool {
 // TestMembershipTableMatchesCallback pins the table-vs-callback
 // equivalence on every ground set of n ≤ 4: the precomputed bitset
 // answers every ranked run exactly like the predicate it was built
-// from, and the Membership() adapter inverts the construction.
+// from.
 func TestMembershipTableMatchesCallback(t *testing.T) {
 	preds := []struct {
 		name string
@@ -35,16 +35,12 @@ func TestMembershipTableMatchesCallback(t *testing.T) {
 					if mt.NumRuns() != RunCount(ground) {
 						t.Fatalf("ground %v: NumRuns = %d, want %d", ground, mt.NumRuns(), RunCount(ground))
 					}
-					adapter := mt.Membership()
 					count := 0
 					ForEachRun2Ranked(ground, func(r Run2, key RunKey, rank RunRank) bool {
 						want := pred.m(r, key)
 						if mt.Contains(rank) != want {
 							t.Fatalf("ground %v rank %d: table says %v, callback %v",
 								ground, rank, mt.Contains(rank), want)
-						}
-						if adapter(r, key) != want {
-							t.Fatalf("ground %v rank %d: adapter disagrees with callback", ground, rank)
 						}
 						if want {
 							count++
@@ -75,14 +71,14 @@ func TestFullTableIsAllAccepting(t *testing.T) {
 	}
 }
 
-// TestApplyAffineTablesMatchesCallback checks the redesigned entry
-// points agree: the callback path (ApplyAffine via TablesOf) and the
-// direct table path (ApplyAffineTables over a caller-built provider)
-// produce identical complexes and carriers, serial and parallel.
+// TestApplyAffineTablesMatchesCallback checks a predicate adapted with
+// TablesOf subdivides identically through the serial and the parallel
+// table path: the same complexes and carriers at 1 and 8 workers, each
+// from a fresh adapter.
 func TestApplyAffineTablesMatchesCallback(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		base := standardBase(t, n)
-		viaCallback, err := ApplyAffineWorkers(base, pseudoMember, 1)
+		serial, err := ApplyAffineTables(base, TablesOf(pseudoMember), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,11 +87,11 @@ func TestApplyAffineTablesMatchesCallback(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !viaCallback.Complex.Equal(viaTables.Complex) {
-				t.Fatalf("n=%d workers=%d: table path complex differs from callback path", n, workers)
+			if !serial.Complex.Equal(viaTables.Complex) {
+				t.Fatalf("n=%d workers=%d: complex differs from the serial reference", n, workers)
 			}
-			for _, v := range viaCallback.Complex.VertexIDs() {
-				if !viaCallback.Carrier(v).Equal(viaTables.Carrier(v)) {
+			for _, v := range serial.Complex.VertexIDs() {
+				if !serial.Carrier(v).Equal(viaTables.Carrier(v)) {
 					t.Fatalf("n=%d workers=%d: carrier of %d differs", n, workers, v)
 				}
 			}

@@ -42,12 +42,12 @@ func TestApplyAffineParallelDeterminism(t *testing.T) {
 		} {
 			t.Run(fmt.Sprintf("n=%d/%s", n, member.name), func(t *testing.T) {
 				base := standardBase(t, n)
-				serial, err := ApplyAffineWorkers(base, member.m, 1)
+				serial, err := ApplyAffineTables(base, TablesOf(member.m), 1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{2, 4, 8} {
-					parallel, err := ApplyAffineWorkers(base, member.m, workers)
+					parallel, err := ApplyAffineTables(base, TablesOf(member.m), workers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -77,10 +77,10 @@ func TestTowerParallelDeterminism(t *testing.T) {
 	parallel := NewTower(base)
 	parallel.SetWorkers(8)
 	for i := 0; i < 2; i++ {
-		if err := serial.Extend(restrictedMember); err != nil {
+		if err := serial.ExtendTables(TablesOf(restrictedMember)); err != nil {
 			t.Fatal(err)
 		}
-		if err := parallel.Extend(restrictedMember); err != nil {
+		if err := parallel.ExtendTables(TablesOf(restrictedMember)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,7 +100,7 @@ func TestTowerCache(t *testing.T) {
 	cache := NewTowerCache()
 	base := standardBase(t, 3)
 	ct1 := cache.Acquire("sig-a", base, 0)
-	if err := ct1.EnsureHeight(FullChr2Membership, 1); err != nil {
+	if err := ct1.EnsureHeightTables(FullChr2Tables, 1); err != nil {
 		t.Fatal(err)
 	}
 	ct2 := cache.Acquire("sig-a", base, 0)
@@ -111,7 +111,7 @@ func TestTowerCache(t *testing.T) {
 		t.Fatalf("height = %d, want 1 (reused)", ct2.Tower().Height())
 	}
 	top := ct2.Tower().Top()
-	if err := ct2.EnsureHeight(FullChr2Membership, 1); err != nil {
+	if err := ct2.EnsureHeightTables(FullChr2Tables, 1); err != nil {
 		t.Fatal(err)
 	}
 	if ct2.Tower().Top() != top {

@@ -40,9 +40,8 @@ import (
 type partTable struct {
 	parts   []procs.OrderedPartition
 	keys    []uint64
-	members []procs.ID     // ground members, ascending
-	views   [][]procs.Set  // views[i][p] = IS view of p under parts[i]
-	index   map[uint64]int // packed key -> partition index; nil iff keys is
+	members []procs.ID    // ground members, ascending
+	views   [][]procs.Set // views[i][p] = IS view of p under parts[i]
 
 	fullOnce sync.Once
 	full     *MembershipTable // lazily built all-accepting table
@@ -73,10 +72,8 @@ func partitionsFor(ground procs.Set) *partTable {
 	}
 	if packable(ground) {
 		t.keys = make([]uint64, len(t.parts))
-		t.index = make(map[uint64]int, len(t.parts))
 		for i, p := range t.parts {
 			t.keys[i] = p.PackedKey()
-			t.index[t.keys[i]] = i
 		}
 	}
 	width := bits.Len32(uint32(ground))

@@ -104,17 +104,17 @@ type workerStat struct {
 // fabricMetrics is the coordinator's metric set.
 type fabricMetrics struct {
 	http         *api.HTTPMetrics
-	leases       *api.CounterVec // event: granted|renewed|completed|expired|released|conflict
-	mergeSeconds *api.Histogram
+	leases       *obs.CounterVec // event: granted|renewed|completed|expired|released|conflict
+	mergeSeconds *obs.Histogram
 	mergedBytes  *obs.Counter
 }
 
 func newFabricMetrics() *fabricMetrics {
 	return &fabricMetrics{
 		http:   api.NewHTTPMetrics("factool_fabric"),
-		leases: api.NewCounterVec("factool_fabric_leases_total", "Lease lifecycle events by kind.", "event"),
-		mergeSeconds: api.NewHistogram("factool_fabric_merge_seconds",
-			"Shard validate+merge latency in seconds.", api.DefaultLatencyBuckets),
+		leases: obs.NewCounterVec("factool_fabric_leases_total", "Lease lifecycle events by kind.", "event"),
+		mergeSeconds: obs.NewHistogram("factool_fabric_merge_seconds",
+			"Shard validate+merge latency in seconds.", obs.DefaultLatencyBuckets),
 		mergedBytes: obs.NewCounter("factool_fabric_merged_bytes_total",
 			"Compressed shard bytes folded into the ledger store."),
 	}
@@ -793,13 +793,13 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // Status snapshot at scrape time (registered as a collector in c.reg).
 func (c *Coordinator) writeCampaignGauges(w io.Writer) {
 	st := c.Status()
-	api.WriteGauge(w, "factool_fabric_units_total", "Work units in the campaign.", int64(st.Units.Total))
-	api.WriteGauge(w, "factool_fabric_units_done", "Work units whose entries are resident in the store.", int64(st.Units.Done))
-	api.WriteGauge(w, "factool_fabric_units_leased", "Work units currently leased.", int64(st.Units.Leased))
-	api.WriteGauge(w, "factool_fabric_units_pending", "Work units awaiting a lease.", int64(st.Units.Pending))
-	api.WriteGauge(w, "factool_fabric_units_conflict", "Work units with a conflicting completion.", int64(st.Units.Conflict))
-	api.WriteGauge(w, "factool_fabric_requeues_total", "Units requeued after lease expiry.", int64(st.Requeues))
-	api.WriteGauge(w, "factool_fabric_store_entries", "Entries resident in the ledger store.", int64(st.StoreEntries))
+	obs.WriteGauge(w, "factool_fabric_units_total", "Work units in the campaign.", int64(st.Units.Total))
+	obs.WriteGauge(w, "factool_fabric_units_done", "Work units whose entries are resident in the store.", int64(st.Units.Done))
+	obs.WriteGauge(w, "factool_fabric_units_leased", "Work units currently leased.", int64(st.Units.Leased))
+	obs.WriteGauge(w, "factool_fabric_units_pending", "Work units awaiting a lease.", int64(st.Units.Pending))
+	obs.WriteGauge(w, "factool_fabric_units_conflict", "Work units with a conflicting completion.", int64(st.Units.Conflict))
+	obs.WriteGauge(w, "factool_fabric_requeues_total", "Units requeued after lease expiry.", int64(st.Requeues))
+	obs.WriteGauge(w, "factool_fabric_store_entries", "Entries resident in the ledger store.", int64(st.StoreEntries))
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -53,10 +53,9 @@ type Campaign struct {
 	Solve  bool `json:"solve,omitempty"`
 
 	// Task is the canonical spec of the task a solve campaign decides.
-	// Normalize derives it ("kset:k=<KTask>" when empty); workers sweep
+	// Normalize derives it ("kset:k=1" when empty); workers sweep
 	// exactly this spec, so shards from every worker agree byte-wise.
 	Task      string `json:"task,omitempty"`
-	KTask     int    `json:"k_task,omitempty"`
 	MaxRounds int    `json:"max_rounds,omitempty"`
 }
 
@@ -66,27 +65,19 @@ func (c *Campaign) normalize() error {
 		return fmt.Errorf("fabric: n must be in [1,6], got %d", c.N)
 	}
 	if c.Solve {
-		if c.KTask <= 0 {
-			c.KTask = 1
-		}
 		if c.Task == "" {
-			c.Task = tasks.KSetSpec(c.KTask).String()
+			c.Task = tasks.KSetSpec(1).String()
 		}
 		spec, err := tasks.ParseSpec(c.Task)
 		if err != nil {
 			return fmt.Errorf("fabric: %w", err)
 		}
 		c.Task = spec.String()
-		if spec.IsKSet() {
-			c.KTask = spec.Param("k")
-		} else {
-			c.KTask = 0
-		}
 		if c.MaxRounds <= 0 {
 			c.MaxRounds = 1
 		}
 	} else {
-		c.Task, c.KTask, c.MaxRounds = "", 0, 0
+		c.Task, c.MaxRounds = "", 0
 	}
 	return nil
 }

@@ -450,7 +450,6 @@ func (w *worker) runUnit(l *leaseInfo) (entries uint64, campaignDone bool, err e
 		Orbits:      c.Orbits,
 		Solve:       c.Solve,
 		Task:        c.Task,
-		KTask:       c.KTask,
 		MaxRounds:   c.MaxRounds,
 		Cache:       w.cache,
 		Stop:        unitStop,

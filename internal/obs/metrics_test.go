@@ -1,8 +1,8 @@
-package api
+package obs
 
 // Exposition edge cases for the metric primitives: label escaping,
-// histogram bucket cumulativity, and concurrent counter-vec label
-// materialization (exercised under -race by the race CI job).
+// histogram bucket cumulativity and sums, and concurrent counter-vec
+// label materialization (exercised under -race by the race CI job).
 
 import (
 	"bytes"
@@ -64,9 +64,9 @@ func TestCounterVecMultiLabelRows(t *testing.T) {
 
 func TestHistogramBucketCumulativity(t *testing.T) {
 	h := NewHistogram("lat_seconds", "Cumulativity probe.", []float64{0.01, 0.1, 1})
-	obs := []float64{0.005, 0.02, 0.05, 0.5, 2, 7} // 1 / 2 / 1 under each bound, 2 overflow
+	samples := []float64{0.005, 0.02, 0.05, 0.5, 2, 7} // 1 / 2 / 1 under each bound, 2 overflow
 	var sum float64
-	for _, v := range obs {
+	for _, v := range samples {
 		h.Observe(v)
 		sum += v
 	}
@@ -100,7 +100,7 @@ func TestHistogramBucketCumulativity(t *testing.T) {
 			t.Fatalf("buckets not cumulative: %v", counts)
 		}
 	}
-	if !strings.Contains(out, fmt.Sprintf("lat_seconds_count %d\n", len(obs))) {
+	if !strings.Contains(out, fmt.Sprintf("lat_seconds_count %d\n", len(samples))) {
 		t.Fatalf("_count != observations:\n%s", out)
 	}
 	sumRe := regexp.MustCompile(`lat_seconds_sum ([0-9.]+)`)
@@ -111,6 +111,18 @@ func TestHistogramBucketCumulativity(t *testing.T) {
 	got, _ := strconv.ParseFloat(m[1], 64)
 	if math.Abs(got-sum) > 1e-6 {
 		t.Fatalf("_sum = %v, want %v", got, sum)
+	}
+}
+
+func TestHistogramSum(t *testing.T) {
+	h := NewHistogram("x_seconds", "help", DefaultLatencyBuckets)
+	for i := 0; i < 100; i++ {
+		h.Observe(0.01)
+	}
+	var buf bytes.Buffer
+	h.Write(&buf)
+	if !strings.Contains(buf.String(), fmt.Sprintf("x_seconds_sum %s\n", FormatFloat(1.0))) {
+		t.Fatalf("sum drifted:\n%s", buf.String())
 	}
 }
 

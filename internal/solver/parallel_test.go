@@ -58,7 +58,7 @@ func TestSolveParallelDeterminism(t *testing.T) {
 				}
 			}
 			if serial.Solvable {
-				if err := VerifyWitness(task, ra.Membership(), serial.Rounds, serial.Map); err != nil {
+				if err := VerifyWitnessTables(task, ra, serial.Rounds, serial.Map, Options{}); err != nil {
 					t.Fatalf("witness invalid: %v", err)
 				}
 			}
@@ -125,7 +125,7 @@ func TestSolveDeeperRoundsReuseCache(t *testing.T) {
 	level1 := ct.Tower().LevelComplex(1)
 	// An unsolvable-at-1 task forces no deeper levels here; instead
 	// extend explicitly and check level 1 is untouched.
-	if err := ct.EnsureHeight(ra.Membership(), 2); err != nil {
+	if err := ct.EnsureHeightTables(ra, 2); err != nil {
 		t.Fatal(err)
 	}
 	if ct.Tower().LevelComplex(1) != level1 {

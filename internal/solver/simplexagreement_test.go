@@ -28,7 +28,7 @@ func TestSimplexAgreementSelfSolvable(t *testing.T) {
 		if !res.Solvable || res.Rounds != 1 {
 			t.Fatalf("%v: simplex agreement on R_A should be solvable at ℓ=1: %+v", a, res)
 		}
-		if err := VerifyWitness(task, ra.Membership(), res.Rounds, res.Map); err != nil {
+		if err := VerifyWitnessTables(task, ra, res.Rounds, res.Map, Options{}); err != nil {
 			t.Fatalf("%v: witness invalid: %v", a, err)
 		}
 	}

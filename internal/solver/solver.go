@@ -77,16 +77,6 @@ type Options struct {
 // ErrBadInput reports an invalid configuration.
 var ErrBadInput = errors.New("solver: invalid input")
 
-// Solve searches for a chromatic simplicial map φ : L^ℓ(I) → O carried
-// by Δ for ℓ = 1..maxRounds with default options. L is given by its
-// membership predicate (use task.Membership() from the affine package,
-// or chromatic.FullChr2Membership for the wait-free IIS model); callers
-// holding an affine.Task should use SolveAffine, which consumes the
-// task's rank-indexed membership tables directly.
-func Solve(task *tasks.Task, member chromatic.Membership, maxRounds int) (*Result, error) {
-	return SolveWith(task, member, maxRounds, Options{})
-}
-
 // SolveAffine is a convenience wrapper taking the affine task directly.
 // Iterated subdivisions are memoized in chromatic.DefaultTowerCache
 // under the task's signature, so repeated calls — across tasks (I, O, Δ)
@@ -106,17 +96,10 @@ func SolveAffineWith(task *tasks.Task, l *affine.Task, maxRounds int, opts Optio
 	return SolveTables(task, l, maxRounds, opts)
 }
 
-// SolveWith is Solve with explicit options. The membership callback is
-// adapted into table form once for the whole decision (evaluated once
-// per run per ground set), so every round reuses the tables.
-func SolveWith(task *tasks.Task, member chromatic.Membership, maxRounds int, opts Options) (*Result, error) {
-	return SolveTables(task, chromatic.TablesOf(member), maxRounds, opts)
-}
-
-// SolveTables is the table-form engine entry: L is given by its
-// membership-table provider (affine.Task implements it; use
-// chromatic.FullChr2Tables for the wait-free IIS model, or
-// chromatic.TablesOf to adapt a callback).
+// SolveTables searches for a chromatic simplicial map φ : L^ℓ(I) → O
+// carried by Δ for ℓ = 1..maxRounds. L is given by its membership-table
+// provider (affine.Task implements it; use chromatic.FullChr2Tables for
+// the wait-free IIS model, or chromatic.TablesOf to adapt a predicate).
 func SolveTables(task *tasks.Task, tables chromatic.MemberTables, maxRounds int, opts Options) (*Result, error) {
 	if err := task.Validate(); err != nil {
 		return nil, err
@@ -463,24 +446,12 @@ func (s *searcher) solve() (bool, error) {
 	return false, nil
 }
 
-// VerifyWitness re-validates a returned map independently: simplicial,
-// chromatic, and carried by Δ on every simplex of the subdivision.
-// Used by tests (and the census engine) to guard against solver bugs.
-// The carried-by-Δ sweep runs over the default worker pool; use
-// VerifyWitnessWith to pin the worker count or reuse a tower cache.
-func VerifyWitness(task *tasks.Task, member chromatic.Membership, rounds int, m sc.Map) error {
-	return VerifyWitnessWith(task, member, rounds, m, Options{})
-}
-
-// VerifyWitnessWith is VerifyWitness with explicit engine options (see
-// VerifyWitnessTables; the callback is adapted into table form once for
-// the whole sweep).
-func VerifyWitnessWith(task *tasks.Task, member chromatic.Membership, rounds int, m sc.Map, opts Options) error {
-	return VerifyWitnessTables(task, chromatic.TablesOf(member), rounds, m, opts)
-}
-
-// VerifyWitnessTables is the table-form witness check (affine.Task is a
-// provider; the census engine passes it directly). The simplex sweep is
+// VerifyWitnessTables re-validates a returned map independently:
+// simplicial, chromatic, and carried by Δ on every simplex of the
+// subdivision L^rounds(I), L given by its membership-table provider
+// (affine.Task is one; the census engine passes it directly). Used by
+// tests and the census engine to guard against solver bugs. The simplex
+// sweep is
 // partitioned across opts.Workers goroutines with early exit once a
 // violation is found; because candidates are checked in the
 // deterministic sorted simplex order and the lowest-indexed violation

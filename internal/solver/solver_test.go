@@ -76,7 +76,7 @@ func TestFACTSetConsensus(t *testing.T) {
 					a, setcon, task.Name, res.Solvable, want)
 			}
 			if res.Solvable {
-				if err := VerifyWitness(task, ra.Membership(), res.Rounds, res.Map); err != nil {
+				if err := VerifyWitnessTables(task, ra, res.Rounds, res.Map, Options{}); err != nil {
 					t.Errorf("%v k=%d: witness invalid: %v", a, k, err)
 				}
 			}
@@ -88,7 +88,7 @@ func TestFACTSetConsensus(t *testing.T) {
 // has no map from Chr^{2ℓ} s for the wait-free model (ℓ = 1, 2).
 func TestConsensusImpossibleWaitFree(t *testing.T) {
 	task := tasks.Consensus(2)
-	res, err := Solve(task, chromatic.FullChr2Membership, 2)
+	res, err := SolveTables(task, chromatic.FullChr2Tables, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestConsensusSolvableUnder1OF(t *testing.T) {
 	if !res.Solvable {
 		t.Fatal("consensus must be solvable under 1-OF")
 	}
-	if err := VerifyWitness(task, ra.Membership(), res.Rounds, res.Map); err != nil {
+	if err := VerifyWitnessTables(task, ra, res.Rounds, res.Map, Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -135,11 +135,11 @@ func TestCompactBoundedRounds(t *testing.T) {
 // TestSolveValidation: invalid configurations are rejected.
 func TestSolveValidation(t *testing.T) {
 	task := tasks.Consensus(2)
-	if _, err := Solve(task, chromatic.FullChr2Membership, 0); err == nil {
+	if _, err := SolveTables(task, chromatic.FullChr2Tables, 0, Options{}); err == nil {
 		t.Errorf("maxRounds 0 should be rejected")
 	}
 	bad := &tasks.Task{Name: "bad", N: 2}
-	if _, err := Solve(bad, chromatic.FullChr2Membership, 1); err == nil {
+	if _, err := SolveTables(bad, chromatic.FullChr2Tables, 1, Options{}); err == nil {
 		t.Errorf("invalid task should be rejected")
 	}
 }
@@ -151,7 +151,7 @@ func TestSolveValidation(t *testing.T) {
 // deciding incorrectly — the mechanism this test pins, under a small
 // node limit at 1 and 8 workers and then under the default limit.
 func TestWaitFreeKSetConsensusBounds(t *testing.T) {
-	triv, err := Solve(tasks.KSetConsensus(3, 3), chromatic.FullChr2Membership, 1)
+	triv, err := SolveTables(tasks.KSetConsensus(3, 3), chromatic.FullChr2Tables, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestWaitFreeKSetConsensusBounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping Sperner search-limit probe in -short mode")
 	}
-	_, err = Solve(tasks.KSetConsensus(3, 2), chromatic.FullChr2Membership, 1)
+	_, err = SolveTables(tasks.KSetConsensus(3, 2), chromatic.FullChr2Tables, 1, Options{})
 	if !errors.Is(err, ErrSearchLimit) {
 		t.Fatalf("wait-free 2-set consensus should exhaust the search budget, got %v", err)
 	}

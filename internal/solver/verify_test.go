@@ -29,12 +29,11 @@ func TestVerifyWitnessParallelEquivalence(t *testing.T) {
 			if !res.Solvable {
 				t.Fatalf("%d-set consensus should be solvable in %v", c.k, c.adv)
 			}
-			member := ra.Membership()
-			if err := VerifyWitnessWith(task, member, res.Rounds, res.Map, Options{Workers: 1}); err != nil {
+			if err := VerifyWitnessTables(task, ra, res.Rounds, res.Map, Options{Workers: 1}); err != nil {
 				t.Fatalf("serial verify: %v", err)
 			}
 			for _, workers := range []int{2, 8} {
-				if err := VerifyWitnessWith(task, member, res.Rounds, res.Map, Options{Workers: workers}); err != nil {
+				if err := VerifyWitnessTables(task, ra, res.Rounds, res.Map, Options{Workers: workers}); err != nil {
 					t.Fatalf("workers=%d verify: %v", workers, err)
 				}
 			}
@@ -55,8 +54,6 @@ func TestVerifyWitnessCorruptedMap(t *testing.T) {
 	if !res.Solvable {
 		t.Fatal("2-set consensus should be solvable 1-resiliently")
 	}
-	member := ra.Membership()
-
 	outByColor := make(map[int][]sc.VertexID)
 	for _, o := range task.Output.VertexIDs() {
 		ov, _ := task.Output.Vertex(o)
@@ -74,8 +71,8 @@ func TestVerifyWitnessCorruptedMap(t *testing.T) {
 				corrupted[k2] = v2
 			}
 			corrupted[v] = o
-			serialErr := VerifyWitnessWith(task, member, res.Rounds, corrupted, Options{Workers: 1})
-			parErr := VerifyWitnessWith(task, member, res.Rounds, corrupted, Options{Workers: 8})
+			serialErr := VerifyWitnessTables(task, ra, res.Rounds, corrupted, Options{Workers: 1})
+			parErr := VerifyWitnessTables(task, ra, res.Rounds, corrupted, Options{Workers: 8})
 			if (serialErr == nil) != (parErr == nil) {
 				t.Fatalf("verdict diverges for corruption %v->%v: serial %v, parallel %v",
 					v, o, serialErr, parErr)

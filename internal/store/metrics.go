@@ -1,7 +1,7 @@
 package store
 
-// The serve layer's metric set, built on the shared Prometheus-format
-// primitives in internal/api: the kit's request families plus the
+// The serve layer's metric set, built on the Prometheus-format
+// primitives in internal/obs: the api kit's request families plus the
 // store-specific counters, the compute-latency histogram and
 // scrape-time gauges over the mounted stores and the shared tower
 // cache.
@@ -11,6 +11,7 @@ import (
 	"io"
 
 	"repro/internal/api"
+	"repro/internal/obs"
 )
 
 // metrics is the serve layer's metric set. The http set (requests,
@@ -18,26 +19,26 @@ import (
 // api middleware; the rest by the classify/solve paths.
 type metrics struct {
 	http           *api.HTTPMetrics
-	storeHits      *api.CounterVec // n
-	storeMisses    *api.CounterVec // n
-	cacheHits      *api.CounterVec // n
-	rehydrated     *api.CounterVec // n
-	computed       *api.CounterVec // n
-	persisted      *api.CounterVec // n
-	computeSeconds *api.Histogram
+	storeHits      *obs.CounterVec // n
+	storeMisses    *obs.CounterVec // n
+	cacheHits      *obs.CounterVec // n
+	rehydrated     *obs.CounterVec // n
+	computed       *obs.CounterVec // n
+	persisted      *obs.CounterVec // n
+	computeSeconds *obs.Histogram
 }
 
 func newMetrics() *metrics {
 	return &metrics{
 		http:        api.NewHTTPMetrics("factool"),
-		storeHits:   api.NewCounterVec("factool_store_hits_total", "Classify lookups answered directly from a store.", "n"),
-		storeMisses: api.NewCounterVec("factool_store_misses_total", "Classify lookups the stores could not answer (live-computed).", "n"),
-		cacheHits:   api.NewCounterVec("factool_entry_cache_hits_total", "Classify lookups answered from the in-memory entry LRU.", "n"),
-		rehydrated:  api.NewCounterVec("factool_store_rehydrated_total", "Classify lookups answered by rehydrating an orbit representative.", "n"),
-		computed:    api.NewCounterVec("factool_computed_total", "Entries computed on the live examination path.", "n"),
-		persisted:   api.NewCounterVec("factool_persisted_total", "Live-computed entries written back to a store.", "n"),
-		computeSeconds: api.NewHistogram("factool_compute_seconds",
-			"Live classify/solve computation latency in seconds.", api.DefaultLatencyBuckets),
+		storeHits:   obs.NewCounterVec("factool_store_hits_total", "Classify lookups answered directly from a store.", "n"),
+		storeMisses: obs.NewCounterVec("factool_store_misses_total", "Classify lookups the stores could not answer (live-computed).", "n"),
+		cacheHits:   obs.NewCounterVec("factool_entry_cache_hits_total", "Classify lookups answered from the in-memory entry LRU.", "n"),
+		rehydrated:  obs.NewCounterVec("factool_store_rehydrated_total", "Classify lookups answered by rehydrating an orbit representative.", "n"),
+		computed:    obs.NewCounterVec("factool_computed_total", "Entries computed on the live examination path.", "n"),
+		persisted:   obs.NewCounterVec("factool_persisted_total", "Live-computed entries written back to a store.", "n"),
+		computeSeconds: obs.NewHistogram("factool_compute_seconds",
+			"Live classify/solve computation latency in seconds.", obs.DefaultLatencyBuckets),
 	}
 }
 

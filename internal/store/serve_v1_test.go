@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/census"
 )
 
@@ -327,7 +328,7 @@ func TestServeEntriesPagination(t *testing.T) {
 // TestServeAuth: unknown keys get 401, over-limit keys get 429 with a
 // Retry-After, good keys pass, and probe endpoints stay open.
 func TestServeAuth(t *testing.T) {
-	auth, err := NewAuthConfig([]APIKey{
+	auth, err := api.NewAuthConfig([]api.APIKey{
 		{Name: "ci", Key: "open-sesame"},
 		{Name: "throttled", Key: "slow-key", RatePerSec: 0.0001, Burst: 1},
 	})

@@ -70,7 +70,7 @@ type ServerOptions struct {
 
 	// Auth, when non-nil, requires a valid API key on every /v1
 	// request and rate-limits per key. Nil serves openly.
-	Auth *AuthConfig
+	Auth *api.AuthConfig
 
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// request.
@@ -89,8 +89,8 @@ type ServerOptions struct {
 }
 
 // Server answers census queries for every store mounted in a registry.
-// Create with NewServer (or NewSingleServer for one store), mount
-// Handler on any mux or http.Server.
+// Create with NewServer over a Registry (mount one store per n), and
+// mount Handler on any mux or http.Server.
 type Server struct {
 	reg    *Registry
 	opts   ServerOptions
