@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/affine"
+	"repro/internal/census"
 	"repro/internal/chromatic"
 	"repro/internal/solver"
 	"repro/internal/tasks"
@@ -21,7 +22,7 @@ func BenchmarkCensusClassify(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("n=3/workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := RunCensus(3, CensusOptions{Workers: workers})
+				rep, err := census.Run(3, census.Options{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -41,12 +42,12 @@ func BenchmarkCensusSolve(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("n=2/workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := RunCensus(2, CensusOptions{
+				rep, err := census.Run(2, census.Options{
 					Workers:         workers,
 					Solve:           true,
 					Task:            "kset:k=1",
 					VerifyWitnesses: true,
-					Cache:           NewTowerCache(),
+					Cache:           chromatic.NewTowerCache(),
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -99,7 +100,7 @@ func BenchmarkVerifyWitness(b *testing.B) {
 // orbit-reduced sweep, which examines 40 of the 128 adversaries for
 // the same totals.
 func BenchmarkCensusStream(b *testing.B) {
-	check := func(b *testing.B, sum CensusSummary) {
+	check := func(b *testing.B, sum census.Summary) {
 		b.Helper()
 		if sum.Fair != 44 || sum.Total != 128 {
 			b.Fatalf("summary (total %d, fair %d), want (128, 44)", sum.Total, sum.Fair)
@@ -107,7 +108,7 @@ func BenchmarkCensusStream(b *testing.B) {
 	}
 	b.Run("collect", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rep, err := RunCensus(3, CensusOptions{Workers: 4})
+			rep, err := census.Run(3, census.Options{Workers: 4})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -116,7 +117,7 @@ func BenchmarkCensusStream(b *testing.B) {
 	})
 	b.Run("stream", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rep, err := StreamCensus(3, CensusOptions{Workers: 4}, nil)
+			rep, err := census.Stream(3, census.Options{Workers: 4}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -125,7 +126,7 @@ func BenchmarkCensusStream(b *testing.B) {
 	})
 	b.Run("stream-orbits", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rep, err := StreamCensus(3, CensusOptions{Workers: 4, Orbits: true}, nil)
+			rep, err := census.Stream(3, census.Options{Workers: 4, Orbits: true}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,11 +1,12 @@
 package fact
 
-// Benchmark harness: one benchmark per experiment of the per-experiment
-// index in DESIGN.md (E1–E16). The paper has no wall-clock tables — its
-// artifacts are combinatorial objects and constructive theorems — so
-// each bench regenerates the corresponding artifact and reports the
-// cost of doing so, plus (via -v logs) the measured quantities recorded
-// in EXPERIMENTS.md.
+// Benchmark harness: one benchmark per experiment E1–E16
+// (BenchmarkE1Chr … BenchmarkE16Setcon). The paper has no wall-clock
+// tables — its artifacts are combinatorial objects and constructive
+// theorems — so each bench regenerates the corresponding artifact and
+// reports the cost of doing so, plus (via -v logs) the measured
+// quantities that the internal packages' tests pin, e.g.
+// TestFigure2Census for E8 and TestRAStrictlyInsideRkOF2 for E9.
 
 import (
 	"fmt"
@@ -385,7 +386,8 @@ func BenchmarkE16Setcon(b *testing.B) {
 }
 
 // BenchmarkAblationDef9 compares the two guard readings of Definition 9
-// (the design decision documented in DESIGN.md).
+// (affine.DefaultVariant; TestIntersectionVariantDiffers pins why the
+// union reading is the default).
 func BenchmarkAblationDef9(b *testing.B) {
 	a := adversary.TResilient(3, 1)
 	for _, v := range []affine.Def9Variant{affine.VariantIntersection, affine.VariantUnion} {

@@ -16,7 +16,10 @@ import (
 	"syscall"
 	"time"
 
-	fact "repro"
+	"repro/internal/api"
+	"repro/internal/fabric"
+	"repro/internal/store"
+	"repro/internal/tasks"
 )
 
 func cmdCoordinate(args []string) error {
@@ -44,28 +47,28 @@ func cmdCoordinate(args []string) error {
 		return usagef(fs, "coordinate: -store is required")
 	}
 	if *task != "" {
-		if _, err := fact.ParseTaskSpec(*task); err != nil {
+		if _, err := tasks.ParseSpec(*task); err != nil {
 			return usagef(fs, "coordinate: %v", err)
 		}
 		*solve = true
 	} else if *solve {
-		*task = fact.KSetTaskSpec(*ktask).String()
+		*task = tasks.KSetSpec(*ktask).String()
 	}
-	st, err := fact.OpenOrCreateCensusStore(*storeDir, *n)
+	st, err := store.OpenOrCreate(*storeDir, *n)
 	if err != nil {
 		return err
 	}
 	defer st.Close()
 
-	camp := fact.FabricCampaign{N: *n, Orbits: *orbits, Solve: *solve, Task: *task, MaxRounds: *rounds}
-	opts := fact.FabricCoordinatorOptions{
+	camp := fabric.Campaign{N: *n, Orbits: *orbits, Solve: *solve, Task: *task, MaxRounds: *rounds}
+	opts := fabric.CoordinatorOptions{
 		UnitSize: *unitSize,
 		TTL:      *ttl,
 		SpoolDir: *spool,
 		Log:      os.Stderr,
 	}
 	if *apikeys != "" {
-		auth, err := fact.LoadCensusAPIKeys(*apikeys)
+		auth, err := api.LoadAPIKeys(*apikeys)
 		if err != nil {
 			return err
 		}
@@ -74,7 +77,7 @@ func cmdCoordinate(args []string) error {
 	if *logJSON {
 		opts.AccessLog = os.Stderr
 	}
-	c, err := fact.NewFabricCoordinator(st, camp, opts)
+	c, err := fabric.NewCoordinator(st, camp, opts)
 	if err != nil {
 		return err
 	}

@@ -21,7 +21,8 @@ import (
 	"sync"
 	"time"
 
-	fact "repro"
+	"repro/internal/adversary"
+	"repro/internal/tasks"
 )
 
 // ltStats is one worker's tally, merged after the run.
@@ -81,12 +82,12 @@ func cmdLoadtest(args []string) error {
 		return usagef(fs, "loadtest: -solve-frac and -batch-frac must be non-negative and sum to at most 1")
 	}
 	if *task != "" {
-		if _, err := fact.ParseTaskSpec(*task); err != nil {
+		if _, err := tasks.ParseSpec(*task); err != nil {
 			return usagef(fs, "loadtest: %v", err)
 		}
 	}
 	base := strings.TrimRight(*baseURL, "/")
-	domain := fact.CensusSize(*n)
+	domain := adversary.CensusSize(*n)
 	if domain == 0 {
 		return usagef(fs, "loadtest: n=%d has an empty census domain", *n)
 	}

@@ -36,8 +36,14 @@ import (
 	"time"
 
 	fact "repro"
+	"repro/internal/adversary"
+	"repro/internal/api"
+	"repro/internal/census"
+	"repro/internal/chromatic"
 	"repro/internal/procs"
 	"repro/internal/render"
+	"repro/internal/store"
+	"repro/internal/tasks"
 )
 
 func main() {
@@ -261,19 +267,19 @@ func adversaryFlags(fs *flag.FlagSet) (n *int, kind *string, t *int, k *int) {
 	return
 }
 
-func buildAdversary(n int, kind string, t, k int) (*fact.Adversary, error) {
+func buildAdversary(n int, kind string, t, k int) (*adversary.Adversary, error) {
 	switch kind {
 	case "waitfree":
-		return fact.WaitFree(n), nil
+		return adversary.WaitFree(n), nil
 	case "tres":
-		return fact.TResilient(n, t), nil
+		return adversary.TResilient(n, t), nil
 	case "kof":
-		return fact.KObstructionFree(n, k), nil
+		return adversary.KObstructionFree(n, k), nil
 	case "fig5b":
 		if n != 3 {
 			return nil, fmt.Errorf("fig5b adversary is defined for n=3")
 		}
-		return fact.SupersetClosure(3, fact.SetOf(1), fact.SetOf(0, 2))
+		return adversary.SupersetClosure(3, procs.SetOf(1), procs.SetOf(0, 2))
 	default:
 		return nil, fmt.Errorf("unknown adversary kind %q", kind)
 	}
@@ -348,7 +354,7 @@ func cmdClassify(args []string) error {
 		return err
 	}
 	// The Figure 2 numbers, computed by the parallel census engine.
-	rep, err := fact.RunCensus(*n, fact.CensusOptions{})
+	rep, err := census.Run(*n, census.Options{})
 	if err != nil {
 		return err
 	}
@@ -389,14 +395,14 @@ func cmdCensus(args []string) error {
 		return usagef(fs, "census: -compress requires -out")
 	}
 	if *task != "" {
-		if _, err := fact.ParseTaskSpec(*task); err != nil {
+		if _, err := tasks.ParseSpec(*task); err != nil {
 			return usagef(fs, "census: %v", err)
 		}
 		*solve = true
 	} else if *solve {
-		*task = fact.KSetTaskSpec(*kTask).String()
+		*task = tasks.KSetSpec(*kTask).String()
 	}
-	opts := fact.CensusOptions{
+	opts := census.Options{
 		Workers:         *workers,
 		Solve:           *solve,
 		Task:            *task,
@@ -456,8 +462,8 @@ func cmdCensus(args []string) error {
 	// report); streaming runs hold memory bounded by the reorder window
 	// and are what checkpoints, budgets and big domains require.
 	streaming := *out != "" || *checkpoint != "" || *resume ||
-		*maxIndices > 0 || *budget > 0 || fact.CensusSize(*n) > fact.CensusMaxDomain
-	var rep *fact.CensusReport
+		*maxIndices > 0 || *budget > 0 || adversary.CensusSize(*n) > census.MaxDomain
+	var rep *census.Report
 	var err error
 	if streaming {
 		// SIGINT winds the sweep down to a clean, checkpointed
@@ -480,14 +486,14 @@ func cmdCensus(args []string) error {
 		}()
 		opts.Stop = stop
 
-		var sink fact.CensusSink
+		var sink census.Sink
 		if *out != "" {
-			var js *fact.CensusJSONLSink
+			var js *census.JSONLSink
 			var err error
 			if *compress {
-				js, err = fact.NewCensusJSONLSinkCompressed(*out)
+				js, err = census.NewJSONLSinkCompressed(*out)
 			} else {
-				js, err = fact.NewCensusJSONLSink(*out)
+				js, err = census.NewJSONLSink(*out)
 			}
 			if err != nil {
 				return err
@@ -495,9 +501,9 @@ func cmdCensus(args []string) error {
 			defer js.Close()
 			sink = js
 		}
-		rep, err = fact.StreamCensus(*n, opts, sink)
+		rep, err = census.Stream(*n, opts, sink)
 	} else {
-		rep, err = fact.RunCensus(*n, opts)
+		rep, err = census.Run(*n, opts)
 	}
 	if err != nil {
 		return err
@@ -512,10 +518,10 @@ func cmdCensus(args []string) error {
 	if rep.Incomplete {
 		if *checkpoint != "" {
 			fmt.Fprintf(os.Stderr, "census: incomplete — frontier at index %d/%d; rerun with -resume -checkpoint %q to continue\n",
-				rep.NextIndex, fact.CensusSize(*n), *checkpoint)
+				rep.NextIndex, adversary.CensusSize(*n), *checkpoint)
 		} else {
 			fmt.Fprintf(os.Stderr, "census: incomplete — stopped at index %d/%d with no -checkpoint, so this progress cannot be resumed\n",
-				rep.NextIndex, fact.CensusSize(*n))
+				rep.NextIndex, adversary.CensusSize(*n))
 		}
 	}
 	if *jsonOut {
@@ -549,12 +555,12 @@ func cmdMerge(args []string) error {
 	if len(shards) == 0 {
 		return usagef(fs, "merge: at least one shard file is required")
 	}
-	st, err := fact.OpenOrCreateCensusStore(*storeDir, *n)
+	st, err := store.OpenOrCreate(*storeDir, *n)
 	if err != nil {
 		return err
 	}
 	defer st.Close()
-	stats, err := st.Merge(shards, fact.CensusMergeOptions{BlockEntries: *blockEntries})
+	stats, err := st.Merge(shards, store.MergeOptions{BlockEntries: *blockEntries})
 	if err != nil {
 		return err
 	}
@@ -568,7 +574,7 @@ func cmdMerge(args []string) error {
 		if err != nil {
 			return err
 		}
-		printCensusSummary(&fact.CensusReport{Summary: sum})
+		printCensusSummary(&census.Report{Summary: sum})
 	}
 	return nil
 }
@@ -618,14 +624,14 @@ func cmdServe(args []string) error {
 		return usagef(fs, "serve: at least one -store (or a matching -stores glob) is required")
 	}
 
-	reg := fact.NewCensusStoreRegistry()
+	reg := store.NewRegistry()
 	defer reg.Close()
 	for _, dir := range dirs {
 		if err := reg.MountDir(dir); err != nil {
 			return err
 		}
 	}
-	opts := fact.CensusServeOptions{
+	opts := store.ServerOptions{
 		CacheEntries: *cacheEntries,
 		CacheBytes:   *cacheMB << 20,
 		MaxRounds:    *rounds,
@@ -633,7 +639,7 @@ func cmdServe(args []string) error {
 		SkipPresence: *noPresence,
 	}
 	if *apikeys != "" {
-		auth, err := fact.LoadCensusAPIKeys(*apikeys)
+		auth, err := api.LoadAPIKeys(*apikeys)
 		if err != nil {
 			return err
 		}
@@ -642,7 +648,7 @@ func cmdServe(args []string) error {
 	if *logJSON {
 		opts.AccessLog = os.Stderr
 	}
-	srv, err := fact.NewCensusRegistryServer(reg, opts)
+	srv, err := store.NewServer(reg, opts)
 	if err != nil {
 		return err
 	}
@@ -681,7 +687,7 @@ func cmdServe(args []string) error {
 // drains: readiness flips first (load balancers stop routing), then
 // Shutdown lets in-flight requests finish within the timeout. A second
 // signal force-quits via the default handler.
-func serveUntilSignal(httpSrv *http.Server, ln net.Listener, srv *fact.CensusServer, drainTimeout time.Duration) error {
+func serveUntilSignal(httpSrv *http.Server, ln net.Listener, srv *store.Server, drainTimeout time.Duration) error {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	done := make(chan error, 1)
@@ -738,12 +744,12 @@ func cmdStoreVerify(args []string) error {
 	if *storeDir == "" {
 		return usagef(fs, "store verify: -store is required")
 	}
-	st, err := fact.OpenCensusStore(*storeDir)
+	st, err := store.Open(*storeDir)
 	if err != nil {
 		return err
 	}
 	defer st.Close()
-	rep, err := st.Verify(fact.CensusVerifyOptions{SpotChecks: *spot})
+	rep, err := st.Verify(store.VerifyOptions{SpotChecks: *spot})
 	if err != nil {
 		return err
 	}
@@ -771,7 +777,7 @@ func cmdStoreVerify(args []string) error {
 // printCensusSummary renders the deterministic human-readable summary
 // (identical for every worker count — timing and cache internals go to
 // stderr, never here).
-func printCensusSummary(rep *fact.CensusReport) {
+func printCensusSummary(rep *census.Report) {
 	s := rep.Summary
 	fmt.Printf("adversary census for n=%d (Figure 2 as data)\n", s.N)
 	fmt.Printf("  total adversaries:    %d\n", s.Total)
@@ -801,7 +807,7 @@ func printCensusSummary(rep *fact.CensusReport) {
 	}
 }
 
-func printCacheStats(st fact.CacheStats) {
+func printCacheStats(st chromatic.CacheStats) {
 	fmt.Fprintf(os.Stderr,
 		"tower cache: %d hits, %d misses, %d towers, %d levels, %d vertices\n",
 		st.Hits, st.Misses, st.Towers, st.Levels, st.Vertices)
@@ -816,12 +822,12 @@ func cmdFigures(args []string) error {
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
 	}
-	oneOF := fact.KObstructionFree(3, 1)
-	fig5b, err := fact.SupersetClosure(3, fact.SetOf(1), fact.SetOf(0, 2))
+	oneOF := adversary.KObstructionFree(3, 1)
+	fig5b, err := adversary.SupersetClosure(3, procs.SetOf(1), procs.SetOf(0, 2))
 	if err != nil {
 		return err
 	}
-	tres1 := fact.TResilient(3, 1)
+	tres1 := adversary.TResilient(3, 1)
 	files := map[string]func() (string, error){
 		"figure1a_chr.svg": func() (string, error) {
 			return render.Chr1SVG(3), nil
@@ -854,7 +860,7 @@ func cmdFigures(args []string) error {
 	return nil
 }
 
-func modelFigure(a *fact.Adversary, kind string) func() (string, error) {
+func modelFigure(a *adversary.Adversary, kind string) func() (string, error) {
 	return func() (string, error) {
 		m, err := fact.NewModel(a)
 		if err != nil {
@@ -896,7 +902,7 @@ func cmdSolve(args []string) error {
 			*kTask, *rounds, res.ComplexSizes)
 	}
 	if *stats {
-		printCacheStats(fact.DefaultTowerCache.Snapshot())
+		printCacheStats(chromatic.DefaultTowerCache.Snapshot())
 	}
 	return nil
 }

@@ -10,8 +10,9 @@ import (
 	"os/signal"
 	"syscall"
 
-	fact "repro"
+	"repro/internal/fabric"
 	"repro/internal/obs"
+	"repro/internal/tasks"
 )
 
 func cmdWork(args []string) error {
@@ -39,11 +40,11 @@ func cmdWork(args []string) error {
 		*id = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 	if *task != "" {
-		if _, err := fact.ParseTaskSpec(*task); err != nil {
+		if _, err := tasks.ParseSpec(*task); err != nil {
 			return usagef(fs, "work: %v", err)
 		}
 	}
-	opts := fact.FabricWorkerOptions{
+	opts := fabric.WorkerOptions{
 		BaseURL:    *url,
 		ID:         *id,
 		TaskSpec:   *task,
@@ -68,7 +69,7 @@ func cmdWork(args []string) error {
 	defer stopDebug()
 	if *crashAfter > 0 {
 		target := *crashAfter + 1
-		opts.AcquireHook = func(k int, leaseID string, u fact.FabricUnit) error {
+		opts.AcquireHook = func(k int, leaseID string, u fabric.Unit) error {
 			if k >= target {
 				return fmt.Errorf("work: injected crash holding lease %s (unit %d)", leaseID, u.ID)
 			}
@@ -89,7 +90,7 @@ func cmdWork(args []string) error {
 	}()
 	opts.Stop = stop
 
-	stats, err := fact.FabricWork(opts)
+	stats, err := fabric.Work(opts)
 	if err != nil {
 		return err
 	}

@@ -4,12 +4,14 @@ import (
 	"fmt"
 
 	fact "repro"
+	"repro/internal/adversary"
+	"repro/internal/procs"
 )
 
 // ExampleNewModel builds the affine task of the 1-resilient 3-process
 // model and reports the headline numbers.
 func ExampleNewModel() {
-	model, err := fact.NewModel(fact.TResilient(3, 1))
+	model, err := fact.NewModel(adversary.TResilient(3, 1))
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -25,7 +27,7 @@ func ExampleNewModel() {
 // decision procedure: consensus is unsolvable under 1-resilience but
 // 2-set consensus is solvable.
 func ExampleModel_SolveKSetConsensus() {
-	model, err := fact.NewModel(fact.TResilient(3, 1))
+	model, err := fact.NewModel(adversary.TResilient(3, 1))
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -45,14 +47,14 @@ func ExampleModel_SolveKSetConsensus() {
 
 // ExampleAdversary_IsFair classifies the paper's Figure 5b adversary.
 func ExampleAdversary_IsFair() {
-	adv, err := fact.SupersetClosure(3, fact.SetOf(1), fact.SetOf(0, 2))
+	adv, err := adversary.SupersetClosure(3, procs.SetOf(1), procs.SetOf(0, 2))
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
 	fmt.Println("fair:", adv.IsFair())
 	fmt.Println("setcon:", adv.Setcon())
-	fmt.Println("alpha of {p2}:", adv.Alpha(fact.SetOf(1)))
+	fmt.Println("alpha of {p2}:", adv.Alpha(procs.SetOf(1)))
 	// Output:
 	// fair: true
 	// setcon: 2

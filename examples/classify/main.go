@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"log"
 
-	fact "repro"
+	"repro/internal/adversary"
+	"repro/internal/census"
+	"repro/internal/procs"
 )
 
 func main() {
@@ -19,7 +21,7 @@ func main() {
 }
 
 func run(n int) error {
-	rep, err := fact.RunCensus(n, fact.CensusOptions{})
+	rep, err := census.Run(n, census.Options{})
 	if err != nil {
 		return err
 	}
@@ -45,7 +47,7 @@ func run(n int) error {
 	}
 
 	// A concrete unfair adversary, with its fairness witness.
-	unfair, err := fact.NewAdversary(3, fact.SetOf(0, 1), fact.SetOf(2))
+	unfair, err := adversary.New(3, procs.SetOf(0, 1), procs.SetOf(2))
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"log"
 
 	fact "repro"
+	"repro/internal/adversary"
 )
 
 func main() {
@@ -19,7 +20,7 @@ func main() {
 func run() error {
 	// The 1-resilient 3-process model: the running example of the paper
 	// (Figure 1b).
-	adv := fact.TResilient(3, 1)
+	adv := adversary.TResilient(3, 1)
 	fmt.Printf("adversary: %v\n", adv)
 	fmt.Printf("  fair: %v, superset-closed: %v, symmetric: %v\n",
 		adv.IsFair(), adv.IsSupersetClosed(), adv.IsSymmetric())

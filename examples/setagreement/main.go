@@ -12,6 +12,9 @@ import (
 	"math/rand"
 
 	fact "repro"
+	"repro/internal/adversary"
+	"repro/internal/core"
+	"repro/internal/procs"
 )
 
 func main() {
@@ -21,14 +24,14 @@ func main() {
 }
 
 func run() error {
-	adv, err := fact.SupersetClosure(3, fact.SetOf(1), fact.SetOf(0, 2))
+	adv, err := adversary.SupersetClosure(3, procs.SetOf(1), procs.SetOf(0, 2))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("adversary %v — fair=%v, setcon=%d\n", adv, adv.IsFair(), adv.Setcon())
 	fmt.Println("agreement function (adaptivity):")
-	for _, p := range []fact.ProcSet{
-		fact.SetOf(1), fact.SetOf(0, 2), fact.SetOf(0, 1), fact.FullSet(3),
+	for _, p := range []procs.Set{
+		procs.SetOf(1), procs.SetOf(0, 2), procs.SetOf(0, 1), procs.FullSet(3),
 	} {
 		fmt.Printf("  α(%v) = %d\n", p, adv.Alpha(p))
 	}
@@ -54,7 +57,7 @@ func run() error {
 	// detailed sample run at full participation.
 	sim := model.VerifySetConsensusSimulation(200, 42)
 	fmt.Printf("§6 simulation: %d/%d runs valid, max distinct decisions %d (bound α(Π)=%d)\n",
-		sim.OK, sim.Trials, sim.MaxDistinct, adv.Alpha(fact.FullSet(3)))
+		sim.OK, sim.Trials, sim.MaxDistinct, adv.Alpha(procs.FullSet(3)))
 
 	// One verbose run for illustration.
 	fmt.Println("sample run with proposals p1→x, p2→y, p3→z:")
@@ -62,17 +65,17 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	for _, p := range fact.FullSet(3).Members() {
+	for _, p := range procs.FullSet(3).Members() {
 		fmt.Printf("  %v decided %q at iteration %d\n", p, out.Decisions[p], out.DecidedAt[p])
 	}
 	return nil
 }
 
 // sampleRun executes one validated simulation run.
-func sampleRun(model *fact.Model) (*fact.SimResult, error) {
+func sampleRun(model *fact.Model) (*core.SimResult, error) {
 	sim := model.NewSetConsensusSim()
 	rng := rand.New(rand.NewSource(7))
-	proposals := map[fact.ProcID]string{0: "x", 1: "y", 2: "z"}
+	proposals := map[procs.ID]string{0: "x", 1: "y", 2: "z"}
 	out, err := sim.Run(proposals, rng)
 	if err != nil {
 		return nil, err

@@ -10,6 +10,8 @@ import (
 	"log"
 
 	fact "repro"
+	"repro/internal/adversary"
+	"repro/internal/procs"
 	"repro/internal/solver"
 )
 
@@ -20,19 +22,19 @@ func main() {
 }
 
 func run() error {
-	fig5b, err := fact.SupersetClosure(3, fact.SetOf(1), fact.SetOf(0, 2))
+	fig5b, err := adversary.SupersetClosure(3, procs.SetOf(1), procs.SetOf(0, 2))
 	if err != nil {
 		return err
 	}
 	models := []struct {
 		name string
-		adv  *fact.Adversary
+		adv  *adversary.Adversary
 	}{
-		{"1-obstruction-free", fact.KObstructionFree(3, 1)},
-		{"2-obstruction-free", fact.KObstructionFree(3, 2)},
-		{"1-resilient", fact.TResilient(3, 1)},
+		{"1-obstruction-free", adversary.KObstructionFree(3, 1)},
+		{"2-obstruction-free", adversary.KObstructionFree(3, 2)},
+		{"1-resilient", adversary.TResilient(3, 1)},
 		{"fig5b ({p2},{p1,p3}+supersets)", fig5b},
-		{"wait-free", fact.WaitFree(3)},
+		{"wait-free", adversary.WaitFree(3)},
 	}
 
 	fmt.Println("FACT solvability sweep: k-set consensus, n=3")

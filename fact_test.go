@@ -3,10 +3,15 @@ package fact
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/adversary"
+	"repro/internal/chromatic"
+	"repro/internal/procs"
+	"repro/internal/tasks"
 )
 
 func TestModelLifecycle(t *testing.T) {
-	a := KObstructionFree(3, 1)
+	a := adversary.KObstructionFree(3, 1)
 	m, err := NewModel(a)
 	if err != nil {
 		t.Fatal(err)
@@ -14,7 +19,7 @@ func TestModelLifecycle(t *testing.T) {
 	if m.N() != 3 || m.Setcon() != 1 {
 		t.Errorf("metadata wrong: n=%d setcon=%d", m.N(), m.Setcon())
 	}
-	if m.Alpha(FullSet(3)) != 1 {
+	if m.Alpha(procs.FullSet(3)) != 1 {
 		t.Errorf("alpha wrong")
 	}
 	if m.AffineTask().NumFacets() != 73 {
@@ -29,7 +34,7 @@ func TestModelLifecycle(t *testing.T) {
 }
 
 func TestModelSolveConsensus(t *testing.T) {
-	m, err := NewModel(KObstructionFree(3, 1))
+	m, err := NewModel(adversary.KObstructionFree(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +47,7 @@ func TestModelSolveConsensus(t *testing.T) {
 	}
 	// FACT's negative direction: 1-resilience (setcon 2) cannot solve
 	// consensus.
-	m2, err := NewModel(TResilient(3, 1))
+	m2, err := NewModel(adversary.TResilient(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +61,7 @@ func TestModelSolveConsensus(t *testing.T) {
 }
 
 func TestModelVerifications(t *testing.T) {
-	m, err := NewModel(TResilient(3, 1))
+	m, err := NewModel(adversary.TResilient(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +79,7 @@ func TestModelVerifications(t *testing.T) {
 }
 
 func TestModelFigures(t *testing.T) {
-	m, err := NewModel(KObstructionFree(3, 1))
+	m, err := NewModel(adversary.KObstructionFree(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +103,14 @@ func TestModelFigures(t *testing.T) {
 func TestNewModelEmptyAdversary(t *testing.T) {
 	// An adversary with α(Π) = 0 (no live set) yields an empty affine
 	// task and must be rejected.
-	a, err := NewAdversary(3, SetOf(0))
+	a, err := adversary.New(3, procs.SetOf(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// α(Π) = 1 here; instead build one whose restriction kills it:
 	// actually a single live set {p1} gives α(Π)=1, fine. Use the truly
 	// empty adversary.
-	empty, err := NewAdversary(3)
+	empty, err := adversary.New(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +126,8 @@ func TestNewModelEmptyAdversary(t *testing.T) {
 // vertex identity space and checks they behave like privately-interned
 // ones, including witness verification through the public API.
 func TestSharedUniverseModels(t *testing.T) {
-	u := NewUniverse(3)
-	advs := []*Adversary{TResilient(3, 1), KObstructionFree(3, 1)}
+	u := chromatic.NewUniverse(3)
+	advs := []*adversary.Adversary{adversary.TResilient(3, 1), adversary.KObstructionFree(3, 1)}
 	for _, a := range advs {
 		m, err := NewModelWithUniverse(u, a)
 		if err != nil {
@@ -136,12 +141,12 @@ func TestSharedUniverseModels(t *testing.T) {
 		if !res.Solvable {
 			t.Fatalf("%v: %d-set consensus should be solvable", a, k)
 		}
-		task := KSetConsensus(3, k)
+		task := tasks.KSetConsensus(3, k)
 		if err := m.VerifyWitness(task, res.Rounds, res.Map); err != nil {
 			t.Errorf("%v: witness rejected: %v", a, err)
 		}
 	}
-	if _, err := NewModelWithUniverse(NewUniverse(4), TResilient(3, 1)); err == nil {
+	if _, err := NewModelWithUniverse(chromatic.NewUniverse(4), adversary.TResilient(3, 1)); err == nil {
 		t.Error("mismatched universe size should be rejected")
 	}
 }

@@ -5,7 +5,8 @@ import "testing"
 // TestFigure2Census is experiment E8: the Figure 2 class diagram as
 // data. For every adversary over 3 processes: superset-closed and
 // symmetric adversaries are fair (the paper's inclusions), and the
-// class sizes match the measured census recorded in EXPERIMENTS.md.
+// class sizes match the measured census: 128 adversaries, 19
+// superset-closed, 8 symmetric, 44 fair.
 func TestFigure2Census(t *testing.T) {
 	total, superset, symmetric, fair := 0, 0, 0, 0
 	EnumerateAdversaries(3, func(a *Adversary) bool {

@@ -314,7 +314,7 @@ func TestIntersectionVariantDiffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ra.Equal(rkof) {
-		t.Errorf("intersection variant unexpectedly matches R_{1-OF}; revisit DESIGN.md note")
+		t.Errorf("intersection variant unexpectedly matches R_{1-OF}; revisit the DefaultVariant choice in ra.go")
 	}
 	if got := ra.NumFacets(); got != 49 {
 		t.Errorf("intersection variant facets = %d, want measured 49", got)

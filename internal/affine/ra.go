@@ -40,7 +40,8 @@ const (
 
 // DefaultVariant is the package default, fixed by experiment E9: the
 // union reading makes R_A coincide with R_{k-OF} on k-obstruction-free
-// adversaries (see EXPERIMENTS.md).
+// adversaries (TestRAEqualsRkOF1, TestIntersectionVariantDiffers;
+// BenchmarkE9RkOF regenerates the comparison).
 const DefaultVariant = VariantUnion
 
 // BuildRA constructs R_A for an n-process system and agreement function

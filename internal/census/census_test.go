@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestCensusFigure2 pins the n=3 census to the Figure 2 numbers the
@@ -35,6 +37,36 @@ func TestCensusFigure2(t *testing.T) {
 		if e.Index != uint64(i) {
 			t.Fatalf("entry %d has index %d — aggregation out of enumeration order", i, e.Index)
 		}
+	}
+}
+
+// TestTowerExtendSpansFollowTracer checks that a solve sweep's
+// chromatic.tower_extend spans land in the sweep's own tracer, each
+// under a census.solve span of that tracer: one per tower the run's
+// private cache built (every tower is extended once, to height 1).
+func TestTowerExtendSpansFollowTracer(t *testing.T) {
+	tr := obs.NewTracer(0)
+	rep, err := Run(3, Options{Solve: true, Workers: 2, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := tr.Spans()
+	byID := make(map[obs.SpanID]obs.Span, len(spans))
+	for _, sp := range spans {
+		byID[sp.ID] = sp
+	}
+	extends := 0
+	for _, sp := range spans {
+		if sp.Name != "chromatic.tower_extend" {
+			continue
+		}
+		extends++
+		if parent := byID[sp.Parent]; parent.Name != "census.solve" {
+			t.Errorf("tower_extend span %d: parent %d is %q in this tracer, want census.solve", sp.ID, sp.Parent, parent.Name)
+		}
+	}
+	if extends == 0 || extends != rep.Cache.Towers {
+		t.Errorf("tower_extend spans in the sweep's tracer = %d, want one per cached tower (%d)", extends, rep.Cache.Towers)
 	}
 }
 

@@ -157,7 +157,7 @@ func (env *runEnv) examine(idx uint64, parent obs.SpanID) (Entry, error) {
 		Workers:     1,
 		Cache:       env.cache,
 		TaskLabel:   env.taskLabel,
-		TraceParent: solveSpan.ID(),
+		TraceParent: solveSpan,
 	})
 	e.Solved = true
 	switch {

@@ -266,33 +266,31 @@ func (ct *CachedTower) Tower() *Tower { return ct.tower }
 // Concurrent calls are serialized; already-built levels are never
 // rebuilt.
 func (ct *CachedTower) EnsureHeightTables(tables MemberTables, height int) error {
-	return ct.EnsureHeightTablesTraced(tables, height, 0)
+	return ct.EnsureHeightTablesTraced(tables, height, nil)
 }
 
 // EnsureHeightTablesTraced is EnsureHeightTables recording a
-// chromatic.tower_extend span under parent when the tower actually
-// grows (already-built heights record nothing, keeping the per-round
-// fast path span-free).
-func (ct *CachedTower) EnsureHeightTablesTraced(tables MemberTables, height int, parent obs.SpanID) error {
+// chromatic.tower_extend child of parent, in parent's tracer, when the
+// tower actually grows (already-built heights record nothing, keeping
+// the per-round fast path span-free). A nil parent records nothing.
+func (ct *CachedTower) EnsureHeightTablesTraced(tables MemberTables, height int, parent *obs.ActiveSpan) error {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	var span *obs.ActiveSpan
 	from := ct.tower.Height()
+	if from >= height {
+		return nil
+	}
+	span := parent.Child("chromatic.tower_extend",
+		"from", strconv.Itoa(from), "to", strconv.Itoa(height))
 	for ct.tower.Height() < height {
-		if span == nil {
-			span = obs.DefaultTracer.Start("chromatic.tower_extend", parent,
-				"from", strconv.Itoa(from), "to", strconv.Itoa(height))
-		}
 		if err := ct.tower.ExtendTables(tables); err != nil {
 			span.End()
 			return err
 		}
 	}
-	if span != nil {
-		span.End()
-		if ct.cache != nil {
-			ct.cache.resize(ct)
-		}
+	span.End()
+	if ct.cache != nil {
+		ct.cache.resize(ct)
 	}
 	return nil
 }

@@ -197,6 +197,9 @@ func TestFabricEndToEnd(t *testing.T) {
 	defer st.Close()
 	var events bytes.Buffer
 	c, srv, _ := coordOver(t, st, camp, CoordinatorOptions{UnitSize: 8, Log: &events})
+	// Poll a "wait" answer every 5ms of real time instead of its
+	// retry_sec; the clock stays put, so no lease can expire mid-test.
+	poll := func(time.Duration) bool { time.Sleep(5 * time.Millisecond); return true }
 
 	var wg sync.WaitGroup
 	stats := make([]WorkerStats, 2)
@@ -210,6 +213,7 @@ func TestFabricEndToEnd(t *testing.T) {
 				ID:      fmt.Sprintf("w%d", i),
 				Workers: 2,
 				TempDir: t.TempDir(),
+				sleep:   poll,
 			})
 		}()
 	}
@@ -284,8 +288,11 @@ func TestLeaseExpiryRequeue(t *testing.T) {
 	if resp.StatusCode != http.StatusGone {
 		t.Fatalf("renewing an expired lease: status %d, want 410", resp.StatusCode)
 	}
-	// …and the replacement worker can finish the campaign.
-	if _, err := Work(WorkerOptions{BaseURL: srv.URL, ID: "steady", TempDir: t.TempDir()}); err != nil {
+	// …and the replacement worker can finish the campaign. The test
+	// never completes its own second lease; the worker waits on the
+	// test clock, so that lease expires once the waits add up to the TTL.
+	sleep := func(d time.Duration) bool { advance(d); return true }
+	if _, err := Work(WorkerOptions{BaseURL: srv.URL, ID: "steady", TempDir: t.TempDir(), sleep: sleep}); err != nil {
 		t.Fatal(err)
 	}
 	select {

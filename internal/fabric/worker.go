@@ -93,6 +93,10 @@ type WorkerOptions struct {
 	// Tracer records the worker's spans (fabric.work → fabric.unit →
 	// census.sweep → fabric.upload). Nil selects obs.DefaultTracer.
 	Tracer *obs.Tracer
+
+	// sleep overrides the wait between acquire attempts (tests that
+	// run the coordinator on a shifted clock); false means stopped.
+	sleep func(time.Duration) bool
 }
 
 // workerMetrics is one Work call's metric set. Instantiated per call
@@ -283,6 +287,9 @@ func (w *worker) logf(format string, args ...any) {
 
 // sleep waits d or until Stop; false means stopped.
 func (w *worker) sleep(d time.Duration) bool {
+	if w.opts.sleep != nil {
+		return w.opts.sleep(d)
+	}
 	select {
 	case <-time.After(d):
 		return true

@@ -122,6 +122,9 @@ func TestTracerNilSafe(t *testing.T) {
 	}
 	s.SetAttr("a", "b")
 	s.End()
+	if s.Child("y") != nil {
+		t.Fatal("nil span returned non-nil child")
+	}
 	if s.ID() != 0 {
 		t.Fatal("nil span has nonzero id")
 	}

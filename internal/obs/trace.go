@@ -7,9 +7,11 @@ package obs
 // trace file is in end-time order — children precede their parents.
 //
 // There is no context propagation machinery: parents are passed
-// explicitly as SpanIDs, which is all the census → fabric → solver
-// call graph needs and keeps the hot path to one atomic increment,
-// two time.Now calls and a short critical section.
+// explicitly, as a SpanID next to the Tracer or as the parent
+// *ActiveSpan itself (whose Child records in the parent's tracer),
+// which is all the census → fabric → solver call graph needs and keeps
+// the hot path to one atomic increment, two time.Now calls and a short
+// critical section.
 
 import (
 	"encoding/json"
@@ -130,6 +132,15 @@ func (t *Tracer) Start(name string, parent SpanID, attrs ...string) *ActiveSpan 
 		}
 	}
 	return s
+}
+
+// Child opens a span under s in s's own tracer, so a child lands where
+// its parent does. A nil s gives a nil span.
+func (s *ActiveSpan) Child(name string, attrs ...string) *ActiveSpan {
+	if s == nil {
+		return nil
+	}
+	return s.t.Start(name, s.span.ID, attrs...)
 }
 
 // ID returns the span's id (0 on a nil span), for use as a child's

@@ -63,10 +63,11 @@ type Options struct {
 	// <= 0 selects the package default.
 	NodeLimit int
 
-	// TraceParent, when nonzero, is the span id this decision's tower
-	// extensions record under (the census solve path passes its
-	// census.solve span so tower-extend spans nest inside it).
-	TraceParent obs.SpanID
+	// TraceParent, when non-nil, is the span this decision's tower
+	// extensions record under, in its tracer (the census solve path
+	// passes its census.solve span so tower-extend spans nest inside
+	// it). Nil records no tower-extend spans.
+	TraceParent *obs.ActiveSpan
 
 	// TaskLabel is the task value of the decision metrics — the census
 	// passes its canonical task spec so multi-task campaigns split into

@@ -61,7 +61,7 @@ func TestFACTSetConsensus(t *testing.T) {
 				// global parity argument invisible to local pruning.
 				// Impossibility there is the classical ACT result, not
 				// this paper's contribution; we record it as undecided
-				// by search (see EXPERIMENTS.md, E12).
+				// by search (see TestWaitFreeKSetConsensusBounds).
 				if a.Setcon() == 3 && k == 2 {
 					continue
 				}

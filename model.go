@@ -1,3 +1,22 @@
+// Package fact is the paper-level entry point of the reproduction of
+// "An Asynchronous Computability Theorem for Fair Adversaries"
+// (Kuznetsov, Rieutord, He; PODC 2018). Its one type, Model, pairs a
+// fair adversary A with its affine task R_A — the two sides of the FACT
+// equivalence (Theorem 16) — and ties together the internal engines:
+//
+//   - adversaries and agreement functions (Section 3),
+//   - the standard chromatic subdivision and IIS combinatorics
+//     (Section 2),
+//   - affine tasks R_A, R_{k-OF} and R_{t-res} (Section 4),
+//   - Algorithm 1 solving R_A in the α-model (Section 5),
+//   - the μ_Q simulation of the adversarial model in R_A^* (Section 6),
+//   - the FACT solvability decision procedure (Theorem 16), and
+//   - regeneration of the paper's figures.
+//
+// Build a Model from an adversary and ask it for its affine task, run
+// the constructive algorithms, decide task solvability, and render
+// figures. Everything else — adversaries, tasks, the census, store and
+// fabric layers — is imported from the package that defines it.
 package fact
 
 import (
@@ -7,7 +26,9 @@ import (
 	"repro/internal/affine"
 	"repro/internal/chromatic"
 	"repro/internal/core"
+	"repro/internal/procs"
 	"repro/internal/render"
+	"repro/internal/sc"
 	"repro/internal/solver"
 	"repro/internal/tasks"
 )
@@ -54,10 +75,10 @@ func NewModelWithUniverse(u *chromatic.Universe, a *adversary.Adversary) (*Model
 }
 
 // Adversary returns the underlying adversary.
-func (m *Model) Adversary() *Adversary { return m.adv }
+func (m *Model) Adversary() *adversary.Adversary { return m.adv }
 
 // AffineTask returns R_A.
-func (m *Model) AffineTask() *AffineTask { return m.ra }
+func (m *Model) AffineTask() *affine.Task { return m.ra }
 
 // N returns the system size.
 func (m *Model) N() int { return m.adv.N() }
@@ -77,20 +98,20 @@ func (m *Model) Signature() string {
 }
 
 // Alpha evaluates the agreement function at P.
-func (m *Model) Alpha(p ProcSet) int { return m.adv.Alpha(p) }
+func (m *Model) Alpha(p procs.Set) int { return m.adv.Alpha(p) }
 
 // Solve decides whether the task is solvable in this model by searching
 // for a chromatic simplicial map from R_A^ℓ(I) to the output complex,
 // ℓ = 1..maxRounds (Theorem 16). The iterated complexes R_A^ℓ(I) are
 // memoized process-wide, so repeated decisions against the same model
 // and input reuse them.
-func (m *Model) Solve(task *Task, maxRounds int) (*SolveResult, error) {
-	return m.SolveWith(task, maxRounds, SolverOptions{})
+func (m *Model) Solve(task *tasks.Task, maxRounds int) (*solver.Result, error) {
+	return m.SolveWith(task, maxRounds, solver.Options{})
 }
 
 // SolveWith is Solve with explicit engine options. Unset options inherit
 // the model's defaults (SetWorkers, the process-wide tower cache).
-func (m *Model) SolveWith(task *Task, maxRounds int, opts SolverOptions) (*SolveResult, error) {
+func (m *Model) SolveWith(task *tasks.Task, maxRounds int, opts solver.Options) (*solver.Result, error) {
 	if opts.Workers == 0 {
 		opts.Workers = m.workers
 	}
@@ -106,7 +127,7 @@ func (m *Model) SolveWith(task *Task, maxRounds int, opts SolverOptions) (*Solve
 
 // SolveKSetConsensus decides k-set consensus solvability — by the FACT
 // theorem the answer is k ≥ Setcon().
-func (m *Model) SolveKSetConsensus(k, maxRounds int) (*SolveResult, error) {
+func (m *Model) SolveKSetConsensus(k, maxRounds int) (*solver.Result, error) {
 	return m.Solve(tasks.KSetConsensus(m.N(), k), maxRounds)
 }
 
@@ -114,7 +135,7 @@ func (m *Model) SolveKSetConsensus(k, maxRounds int) (*SolveResult, error) {
 // Solve: simplicial, chromatic, and carried by Δ on every simplex of
 // R_A^rounds(I). The sweep runs on the model's worker pool (SetWorkers)
 // and reuses the process-wide tower cache.
-func (m *Model) VerifyWitness(task *Task, rounds int, witness VertexMap) error {
+func (m *Model) VerifyWitness(task *tasks.Task, rounds int, witness sc.Map) error {
 	return solver.VerifyWitnessTables(task, m.ra, rounds, witness, solver.Options{
 		Workers:  m.workers,
 		Cache:    chromatic.DefaultTowerCache,
@@ -125,19 +146,19 @@ func (m *Model) VerifyWitness(task *Task, rounds int, witness VertexMap) error {
 // VerifyAlgorithmOne runs the Theorem 7 verification campaign: `trials`
 // random α-model schedules of Algorithm 1, checking liveness and that
 // outputs land in R_A.
-func (m *Model) VerifyAlgorithmOne(trials int, seed int64) *AlgOneReport {
+func (m *Model) VerifyAlgorithmOne(trials int, seed int64) *core.AlgOneReport {
 	return core.CheckAlgorithmOne(m.N(), m.adv.Alpha, m.ra, trials, seed)
 }
 
 // VerifySetConsensusSimulation runs the Section 6 campaign: α-adaptive
 // set consensus over iterations of R_A.
-func (m *Model) VerifySetConsensusSimulation(trials int, seed int64) *SetConsensusReport {
+func (m *Model) VerifySetConsensusSimulation(trials int, seed int64) *core.SetConsensusReport {
 	return core.CheckSetConsensus(m.ra, m.adv.Alpha, trials, seed)
 }
 
 // NewSetConsensusSim returns a Section 6 α-adaptive set-consensus
 // simulator over this model's iterated affine task.
-func (m *Model) NewSetConsensusSim() *SetConsensusSim {
+func (m *Model) NewSetConsensusSim() *core.SetConsensusSim {
 	return core.NewSetConsensusSim(m.ra, m.adv.Alpha)
 }
 
