@@ -17,7 +17,9 @@ import (
 	"repro/internal/tasks"
 )
 
-// BenchmarkCensusClassify sweeps all 128 adversaries at n=3.
+// BenchmarkCensusClassify sweeps all 128 adversaries at n=3, where the
+// engine's overhead dominates, and the first 4096 indices at n=5, where
+// classifying each adversary does (the ingest path).
 func BenchmarkCensusClassify(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("n=3/workers=%d", workers), func(b *testing.B) {
@@ -28,6 +30,20 @@ func BenchmarkCensusClassify(b *testing.B) {
 				}
 				if rep.Summary.Fair != 44 {
 					b.Fatalf("fair = %d, want 44", rep.Summary.Fair)
+				}
+			}
+		})
+	}
+	const window = 4096
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("n=5/window=%d/workers=%d", window, workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rep, err := census.SweepRange(5, census.Options{Workers: workers}, census.Discard{}, 0, window)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Summary.Total != window {
+					b.Fatalf("total = %d, want %d", rep.Summary.Total, window)
 				}
 			}
 		})

@@ -8,10 +8,9 @@ package adversary
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
 	"strings"
 
-	"repro/internal/hitting"
 	"repro/internal/procs"
 )
 
@@ -26,25 +25,33 @@ var (
 // infinite run is A-compliant when its set of correct processes is a
 // live set. The representation is canonical (sorted, deduplicated), so
 // adversaries can be compared with Equal.
+//
+// Everything the classification reads is computed once by New, and no
+// method writes to the value afterwards: an *Adversary is safe for
+// concurrent use by any number of goroutines.
 type Adversary struct {
 	n    int
 	live []procs.Set
 
-	// setconPQ memoizes setcon(A|P,Q) keyed by packed (P, Q∩P) pairs.
-	// One memo serves every restriction of the adversary: Setcon, every
-	// Alpha(P) evaluation and all 4^n fairness checks share it (α is
-	// the Q=P diagonal). Not safe for concurrent mutation — confine an
-	// Adversary value to one goroutine (the census engine does).
-	setconPQ map[uint64]int
+	// alpha is the dense agreement-function table, indexed by subset
+	// mask: alpha[P]&^liveBit is α(P) = setcon(A|P) for every P ⊆ Π,
+	// and alpha[P]&liveBit is set exactly when P itself is a live set.
+	alpha []int8
 }
 
-// New builds an adversary from explicit live sets.
+// liveBit flags live sets in the alpha table. α(P) ≤ |P| ≤ 32 occupies
+// the six bits below it.
+const liveBit = 1 << 6
+
+// New builds an adversary from explicit live sets. It fills the
+// agreement-function table over all 2^n subsets of Π, which costs
+// O(n·2^n) time and 2^n bytes.
 func New(n int, liveSets ...procs.Set) (*Adversary, error) {
 	if n <= 0 || n > procs.MaxProcs {
 		return nil, fmt.Errorf("%w: %d", ErrBadSize, n)
 	}
 	full := procs.FullSet(n)
-	seen := make(map[procs.Set]bool, len(liveSets))
+	alpha := make([]int8, uint64(full)+1)
 	live := make([]procs.Set, 0, len(liveSets))
 	for _, s := range liveSets {
 		if s.IsEmpty() {
@@ -53,13 +60,14 @@ func New(n int, liveSets ...procs.Set) (*Adversary, error) {
 		if !s.SubsetOf(full) {
 			return nil, fmt.Errorf("%w: %v with n=%d", ErrOutOfSystem, s, n)
 		}
-		if !seen[s] {
-			seen[s] = true
+		if alpha[s] == 0 {
+			alpha[s] = liveBit
 			live = append(live, s)
 		}
 	}
 	procs.SortSets(live)
-	return &Adversary{n: n, live: live, setconPQ: make(map[uint64]int)}, nil
+	fillAlpha(alpha)
+	return &Adversary{n: n, live: live, alpha: alpha}, nil
 }
 
 // MustNew is New for statically-known-correct inputs (tests, examples).
@@ -147,14 +155,7 @@ func (a *Adversary) NumLiveSets() int { return len(a.live) }
 
 // Contains reports whether S is a live set of the adversary.
 func (a *Adversary) Contains(s procs.Set) bool {
-	i := sort.Search(len(a.live), func(i int) bool {
-		li := a.live[i]
-		if li.Size() != s.Size() {
-			return li.Size() >= s.Size()
-		}
-		return li >= s
-	})
-	return i < len(a.live) && a.live[i] == s
+	return s.SubsetOf(procs.FullSet(a.n)) && a.alpha[s]&liveBit != 0
 }
 
 // Equal reports whether two adversaries have identical live sets.
@@ -185,44 +186,49 @@ func (a *Adversary) Signature() string {
 
 // String lists the live sets, e.g. "A{{p2},{p1,p3}}".
 func (a *Adversary) String() string {
-	parts := make([]string, len(a.live))
-	for i, s := range a.live {
-		parts[i] = s.String()
+	size := len("A{}") + len(a.live)
+	for _, s := range a.live {
+		size += 2 + 4*s.Size() // "{}" plus "p", up to two digits and a comma per member
 	}
-	return "A{" + strings.Join(parts, ",") + "}"
+	b := make([]byte, 0, size)
+	b = append(b, "A{"...)
+	for i, s := range a.live {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = s.AppendTo(b)
+	}
+	return string(append(b, '}'))
 }
 
-// IsSupersetClosed reports whether every superset of a live set is live.
+// IsSupersetClosed reports whether every superset of a live set is
+// live. Checking the one-process extensions suffices: every superset of
+// S is reached from S by adding one process at a time.
 func (a *Adversary) IsSupersetClosed() bool {
 	full := procs.FullSet(a.n)
 	for _, s := range a.live {
-		missing := false
-		procs.ForEachSubset(full.Diff(s), func(extra procs.Set) bool {
-			if !a.Contains(s.Union(extra)) {
-				missing = true
+		for rest := full.Diff(s); rest != 0; rest &= rest - 1 {
+			if !a.Contains(s | rest&-rest) {
 				return false
 			}
-			return true
-		})
-		if missing {
-			return false
 		}
 	}
 	return true
 }
 
-// IsSymmetric reports whether membership depends only on live-set size.
+// IsSymmetric reports whether membership depends only on live-set size:
+// for each size k the adversary holds either no k-set or all C(n, k).
 func (a *Adversary) IsSymmetric() bool {
-	sizes := make(map[int]bool)
+	var count [procs.MaxProcs + 1]int
 	for _, s := range a.live {
-		sizes[s.Size()] = true
+		count[s.Size()]++
 	}
-	for k := range sizes {
-		for _, s := range procs.SubsetsOfSize(procs.FullSet(a.n), k) {
-			if !a.Contains(s) {
-				return false
-			}
+	binom := 1 // C(n, k)
+	for k := 0; k <= a.n; k++ {
+		if count[k] != 0 && count[k] != binom {
+			return false
 		}
+		binom = binom * (a.n - k) / (k + 1)
 	}
 	return true
 }
@@ -251,4 +257,15 @@ func (a *Adversary) RestrictTouching(p, q procs.Set) []procs.Set {
 }
 
 // CSize returns csize(A): the minimal hitting set size of the live sets.
-func (a *Adversary) CSize() int { return hitting.Size(a.live) }
+// H hits every live set exactly when no live set lies inside Π∖H, that
+// is when α(Π∖H) = 0, so csize is n minus the size of the largest P
+// with α(P) = 0.
+func (a *Adversary) CSize() int {
+	largest := 0
+	for p, v := range a.alpha {
+		if v == 0 { // a live P has α(P) ≥ 1, so v carries no liveBit
+			largest = max(largest, bits.OnesCount(uint(p)))
+		}
+	}
+	return a.n - largest
+}

@@ -299,10 +299,3 @@ func TestRestrict(t *testing.T) {
 		t.Errorf("touching count = %d, want 3", len(touching))
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

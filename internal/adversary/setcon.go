@@ -2,7 +2,12 @@ package adversary
 
 // Definition 1 (set-consensus power) and agreement functions.
 
-import "repro/internal/procs"
+import (
+	"math"
+	"math/bits"
+
+	"repro/internal/procs"
+)
 
 // SetconOf computes setcon of an arbitrary collection of live sets
 // (Definition 1):
@@ -50,51 +55,34 @@ func SetconOf(live []procs.Set) int {
 // Setcon returns the set-consensus power of the adversary: the smallest
 // k such that k-set consensus is solvable in the A-model.
 func (a *Adversary) Setcon() int {
-	return a.Alpha(procs.FullSet(a.n))
+	return int(a.alpha[len(a.alpha)-1] &^ liveBit)
 }
 
 // Alpha evaluates the agreement function of the adversary at P:
-// α(P) = setcon(A|P). Memoized — and the memo is the shared (P, Q)
-// setcon table, so α evaluations and fairness checks feed each other.
+// α(P) = setcon(A|P), read from the table New filled. Processes outside
+// Π are ignored, since no live set contains them.
 func (a *Adversary) Alpha(p procs.Set) int {
-	// A|P = A|P,P for non-empty live sets: the Q = P diagonal.
-	return a.setconTouch(p, p)
+	return int(a.alpha[p&procs.FullSet(a.n)] &^ liveBit)
 }
 
-// setconTouch computes setcon(A|P,Q) — the set-consensus power of
-// {S ∈ A : S ⊆ P, S ∩ Q ≠ ∅} — through the per-adversary memo.
+// fillAlpha completes the agreement-function table whose live sets New
+// has flagged. Definition 1 restricted to P maximises over the live sets
+// S ⊆ P; those below P are covered by some P∖x, so
 //
-// The family is closed under the Definition 1 recursion: restricting
-// A|P,Q to live sets inside P' yields A|(P∩P'),Q, so a single memo
-// keyed by the (P, Q∩P) pair serves Setcon, every Alpha(P) and all
-// (P, Q) fairness probes of one adversary. This replaces the fresh
-// SetconOf memo the fairness sweep used to rebuild per (P, Q) pair —
-// Alpha/IsFair dominate census classification time.
-func (a *Adversary) setconTouch(p, q procs.Set) int {
-	q = q.Intersect(p) // membership of S ⊆ P depends on Q only via Q∩P
-	key := uint64(p)<<32 | uint64(q)
-	if v, ok := a.setconPQ[key]; ok {
-		return v
-	}
-	best := 0
-	for _, s := range a.live {
-		if !s.SubsetOf(p) || !s.Intersects(q) {
-			continue
+//	α(∅) = 0
+//	α(P) = max( max_{x∈P} α(P∖x), [P ∈ A]·(1 + min_{x∈P} α(P∖x)) )
+//
+// and increasing mask order computes every P∖x before P.
+func fillAlpha(alpha []int8) {
+	for p := 1; p < len(alpha); p++ {
+		hi, lo := 0, math.MaxInt
+		for rest := p; rest != 0; rest &= rest - 1 {
+			v := int(alpha[p^(rest&-rest)] &^ liveBit)
+			hi, lo = max(hi, v), min(lo, v)
 		}
-		// min_{x∈S} setcon(A|(S\{x}), Q) + 1
-		inner := -1
-		s.ForEach(func(x procs.ID) {
-			v := a.setconTouch(s.Remove(x), q) + 1
-			if inner < 0 || v < inner {
-				inner = v
-			}
-		})
-		if inner > best {
-			best = inner
-		}
+		live := int(alpha[p] / liveBit) // 1 for a live set, else 0
+		alpha[p] |= int8(max(hi, live*(lo+1)))
 	}
-	a.setconPQ[key] = best
-	return best
 }
 
 // AgreementFunction materializes α over every subset of Π.
@@ -140,31 +128,78 @@ func (a *Adversary) IsFair() bool {
 }
 
 // FairnessWitness returns a violating pair (P, Q) when the adversary is
-// unfair, or fair=true.
+// unfair, or fair=true. The witness is the first violation with P in
+// increasing mask order and, within P, Q in increasing mask order.
+//
+// f(P, Q) = setcon(A|P,Q) obeys the recursion of fillAlpha, except that
+// a live P counts only when it touches Q ⊆ P, that is when Q ≠ ∅:
+//
+//	f(P, Q) = max( max_{x∈P} f(P∖x, Q∖x),
+//	               [P ∈ A ∧ Q ≠ ∅]·(1 + min_{x∈P} f(P∖x, Q∖x)) )
+//
+// That same pass stores each f(P, Q) in a dense table at the base-3
+// index ternary(P) + ternary(Q): digit i is 0 for i ∉ P, 1 for
+// i ∈ P∖Q and 2 for i ∈ Q. Dropping x from both sets lowers the index
+// by 3^x, or by 2·3^x when x ∈ Q.
 func (a *Adversary) FairnessWitness() (p, q procs.Set, fair bool) {
-	full := procs.FullSet(a.n)
-	violated := false
-	var vp, vq procs.Set
-	procs.ForEachSubset(full, func(pp procs.Set) bool {
-		alphaP := a.Alpha(pp)
-		procs.ForEachSubset(pp, func(qq procs.Set) bool {
-			want := qq.Size()
-			if alphaP < want {
-				want = alphaP
+	var small [729]int8 // 3^6: every n ≤ 6 without a heap allocation
+	f := small[:]
+	if size := pow3[a.n]; size > len(small) {
+		f = make([]int8, size)
+	}
+	// f(P, ∅) = 0 = min(0, α(P)), so the zeroed table already holds
+	// the Q = ∅ entries and only Q ≠ ∅ is visited.
+	for pm := 1; pm < len(a.alpha); pm++ {
+		p = procs.Set(pm)
+		alphaP := int(a.alpha[pm] &^ liveBit)
+		live := int(a.alpha[pm] / liveBit) // 1 when P ∈ A, else 0
+		tp := ternary(p)
+		for q = p & -p; ; q = (q - p) & p {
+			i := tp + ternary(q)
+			hi, lo := 0, math.MaxInt
+			for rest := p; rest != 0; rest &= rest - 1 {
+				x := bits.TrailingZeros32(uint32(rest))
+				v := int(f[i-pow3[x]<<(q>>x&1)])
+				hi, lo = max(hi, v), min(lo, v)
 			}
-			if a.setconTouch(pp, qq) != want {
-				violated = true
-				vp, vq = pp, qq
-				return false
+			hi = max(hi, live*(lo+1))
+			f[i] = int8(hi)
+			if hi != min(q.Size(), alphaP) {
+				return p, q, false
 			}
-			return true
-		})
-		return !violated
-	})
-	if violated {
-		return vp, vq, false
+			if q == p {
+				break
+			}
+		}
 	}
 	return 0, 0, true
+}
+
+// pow3[i] is 3^i, for every process index and for the table size 3^n.
+var pow3 = func() (t [procs.MaxProcs + 1]int) {
+	t[0] = 1
+	for i := 1; i < len(t); i++ {
+		t[i] = 3 * t[i-1]
+	}
+	return t
+}()
+
+// ternaryByte[b] is Σ_{i∈b} 3^i for the eight processes of one byte.
+var ternaryByte = func() (t [256]int) {
+	for b := 1; b < len(t); b++ {
+		low := bits.TrailingZeros8(uint8(b))
+		t[b] = t[b&(b-1)] + pow3[low]
+	}
+	return t
+}()
+
+// ternary returns Σ_{i∈s} 3^i, the base-3 index of s with every digit 1.
+func ternary(s procs.Set) int {
+	t := ternaryByte[s&0xff]
+	for shift := 8; s>>shift != 0; shift += 8 {
+		t += pow3[shift] * ternaryByte[s>>shift&0xff]
+	}
+	return t
 }
 
 // EnumerateAdversaries calls f for every adversary over n processes

@@ -74,11 +74,12 @@ const parallelRARows = 64
 // rows[i] holds the facets with R1 = parts[i], each row in r2
 // enumeration order. workers <= 0 selects one per CPU; small domains
 // and workers == 1 take the serial path. α is first copied, serially,
-// into a dense table over the subsets of the ground set (an adversary's
-// Alpha fills a shared memo, which concurrent rows must not write).
-// Every worker builds its own r1Context and reads only that table, so
-// rows share no state and the concatenated output is byte-identical
-// across worker counts.
+// into a dense table over the subsets of the ground set: callers may
+// pass any AlphaFunc, and one that is slow or not safe for concurrent
+// calls is then evaluated once per subset, on one goroutine. Every
+// worker builds its own r1Context and reads only that table, so rows
+// share no state and the concatenated output is byte-identical across
+// worker counts.
 func buildRAFacetRows(alpha adversary.AlphaFunc, parts []procs.OrderedPartition, variant Def9Variant, workers int) [][]chromatic.Run2 {
 	if len(parts) > 0 {
 		alpha = alphaTable(alpha, parts[0].Ground())

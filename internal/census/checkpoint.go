@@ -94,9 +94,19 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	ck, err := decodeCheckpoint(b)
+	if err != nil {
+		return nil, fmt.Errorf("census: parse checkpoint %s: %w", path, err)
+	}
+	return ck, nil
+}
+
+// decodeCheckpoint parses the bytes of a checkpoint sidecar. Whether
+// the checkpoint fits a run is validate's question.
+func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 	var ck Checkpoint
 	if err := json.Unmarshal(b, &ck); err != nil {
-		return nil, fmt.Errorf("census: parse checkpoint %s: %w", path, err)
+		return nil, err
 	}
 	return &ck, nil
 }
@@ -115,6 +125,12 @@ func (ck *Checkpoint) validate(fp string, total uint64, n int, kind string) erro
 	}
 	if ck.NextIndex > total {
 		return fmt.Errorf("%w: frontier %d beyond domain %d", ErrCheckpointMismatch, ck.NextIndex, total)
+	}
+	if ck.Emitted > ck.NextIndex {
+		return fmt.Errorf("%w: %d entries emitted below frontier %d", ErrCheckpointMismatch, ck.Emitted, ck.NextIndex)
+	}
+	if ck.OutBytes < 0 {
+		return fmt.Errorf("%w: negative output offset %d", ErrCheckpointMismatch, ck.OutBytes)
 	}
 	if len(ck.Summary.SetconHist) != n+1 {
 		return fmt.Errorf("%w: setcon histogram has %d buckets, want %d", ErrCheckpointMismatch, len(ck.Summary.SetconHist), n+1)

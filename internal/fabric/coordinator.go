@@ -6,6 +6,7 @@ package fabric
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/census"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/tasks"
@@ -660,10 +662,16 @@ func (c *Coordinator) spoolShard(body io.Reader) (string, int64, error) {
 	return f.Name(), n, nil
 }
 
+// ErrInvalidShard wraps every reason validateShard rejects an upload.
+var ErrInvalidShard = errors.New("fabric: invalid shard")
+
 // validateShard checks an uploaded shard covers its unit exactly:
 // strictly increasing indices inside [Lo, Hi), and the unit's full
 // complement of entries — a short sweep or a shard for the wrong range
-// is rejected before it can poison the ledger.
+// is rejected before it can poison the ledger. Every line must also be
+// a census entry exactly as a sweep's JSONL sink writes it: it decodes
+// into census.Entry and json.Marshal re-encodes it to the same bytes.
+// Anything looser would merge into the store and then fail every read.
 func validateShard(path string, u Unit) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -675,7 +683,7 @@ func validateShard(path string, u Unit) error {
 		if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
 			gz, err := gzip.NewReader(br)
 			if err != nil {
-				return fmt.Errorf("inflating shard: %w", err)
+				return fmt.Errorf("%w: inflating: %w", ErrInvalidShard, err)
 			}
 			defer gz.Close()
 			rd = gz
@@ -690,27 +698,27 @@ func validateShard(path string, u Unit) error {
 		if len(line) == 0 {
 			continue
 		}
-		var probe struct {
-			Index *uint64 `json:"index"`
+		var e census.Entry
+		if err := json.Unmarshal(line, &e); err != nil {
+			return fmt.Errorf("%w: line %d: not a census entry: %v", ErrInvalidShard, count+1, err)
 		}
-		if err := json.Unmarshal(line, &probe); err != nil || probe.Index == nil {
-			return fmt.Errorf("shard line %d: not a census entry", count+1)
+		if canon, err := json.Marshal(&e); err != nil || !bytes.Equal(canon, line) {
+			return fmt.Errorf("%w: line %d: not a census entry as a sweep writes it", ErrInvalidShard, count+1)
 		}
-		idx := *probe.Index
-		if idx < u.Lo || idx >= u.Hi {
-			return fmt.Errorf("shard entry %d outside the unit range [%d, %d)", idx, u.Lo, u.Hi)
+		if e.Index < u.Lo || e.Index >= u.Hi {
+			return fmt.Errorf("%w: entry %d outside the unit range [%d, %d)", ErrInvalidShard, e.Index, u.Lo, u.Hi)
 		}
-		if count > 0 && idx <= last {
-			return fmt.Errorf("shard indices not strictly increasing at %d", idx)
+		if count > 0 && e.Index <= last {
+			return fmt.Errorf("%w: indices not strictly increasing at %d", ErrInvalidShard, e.Index)
 		}
-		last = idx
+		last = e.Index
 		count++
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("scanning shard: %w", err)
+		return fmt.Errorf("%w: scanning: %w", ErrInvalidShard, err)
 	}
 	if count != u.Ranks {
-		return fmt.Errorf("shard holds %d entries, unit needs %d", count, u.Ranks)
+		return fmt.Errorf("%w: holds %d entries, unit needs %d", ErrInvalidShard, count, u.Ranks)
 	}
 	return nil
 }

@@ -373,22 +373,33 @@ func TestDoubleCompleteConflict(t *testing.T) {
 	// altered — same index, different bytes.
 	advance(2 * time.Minute)
 	lines := gunzipLines(t, shard)
-	// Different bytes, same index, still parseable: validation passes
-	// and the conflict is caught by the merge itself.
-	tampered := strings.Replace(lines[1], "{", `{"aaa_tamper":true,`, 1)
-	if tampered == lines[1] {
-		t.Fatal("tamper had no effect")
+	writeShard := func(name string, lines []string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	var probe map[string]any
-	if err := json.Unmarshal([]byte(tampered), &probe); err != nil {
+	// An unknown field is not a census entry as a sweep writes it:
+	// validation turns the shard away before the merge sees it.
+	extra := append([]string(nil), lines...)
+	extra[1] = strings.Replace(lines[1], "{", `{"aaa_tamper":true,`, 1)
+	if code, body := upload(t, srv.URL, first.Lease.ID, writeShard("extra.jsonl", extra)); code != http.StatusBadRequest {
+		t.Fatalf("unknown-field complete: %d %s, want 400", code, body)
+	}
+	// Different bytes, same index, a well-formed entry: validation
+	// passes and the conflict is caught by the merge itself.
+	var e census.Entry
+	if err := json.Unmarshal([]byte(lines[1]), &e); err != nil {
 		t.Fatal(err)
 	}
-	lines[1] = tampered
-	bad := filepath.Join(dir, "tampered.jsonl")
-	if err := os.WriteFile(bad, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+	e.CSize++
+	tampered, err := json.Marshal(&e)
+	if err != nil {
 		t.Fatal(err)
 	}
-	code, body := upload(t, srv.URL, first.Lease.ID, bad)
+	lines[1] = string(tampered)
+	code, body := upload(t, srv.URL, first.Lease.ID, writeShard("tampered.jsonl", lines))
 	if code != http.StatusConflict {
 		t.Fatalf("conflicting complete: %d %s, want 409", code, body)
 	}
@@ -446,6 +457,23 @@ func TestShardValidation(t *testing.T) {
 	junk := write("junk.jsonl", "not json\n")
 	if code, body := upload(t, srv.URL, lr.Lease.ID, junk); code != http.StatusBadRequest {
 		t.Fatalf("junk shard: %d %s, want 400", code, body)
+	}
+	// Right count, range and order, but two lines whose fields do not
+	// decode into a census entry: merged, they would fail every read.
+	var first, second census.Entry
+	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(lines[1]), &second); err != nil {
+		t.Fatal(err)
+	}
+	fields := append([]string{
+		fmt.Sprintf(`{"index":%d,"setcon":"x"}`, first.Index),
+		fmt.Sprintf(`{"index":%d,"live_set_masks":7}`, second.Index),
+	}, lines[2:]...)
+	malformed := write("malformed.jsonl", strings.Join(fields, "\n")+"\n")
+	if code, body := upload(t, srv.URL, lr.Lease.ID, malformed); code != http.StatusBadRequest {
+		t.Fatalf("malformed-field shard: %d %s, want 400", code, body)
 	}
 	// The lease survives rejected uploads: the real shard still lands.
 	if code, body := upload(t, srv.URL, lr.Lease.ID, shard); code != http.StatusOK {

@@ -10,10 +10,10 @@
 package procs
 
 import (
-	"fmt"
+	"cmp"
 	"math/bits"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // MaxProcs is the largest supported system size. Sets are 32-bit bitsets;
@@ -27,7 +27,7 @@ type ID uint8
 
 // String returns the paper-style name of the process (p1, p2, ...).
 func (p ID) String() string {
-	return fmt.Sprintf("p%d", int(p)+1)
+	return "p" + strconv.Itoa(int(p)+1)
 }
 
 // Set is a set of processes represented as a bitset. The zero value is
@@ -120,21 +120,22 @@ func (s Set) ForEach(f func(ID)) {
 
 // String renders the set in the paper's notation, e.g. {p1,p3}.
 func (s Set) String() string {
-	if s == 0 {
-		return "{}"
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	s.ForEach(func(p ID) {
-		if !first {
-			b.WriteByte(',')
+	var buf [64]byte
+	return string(s.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String form of s to b and returns the extended
+// buffer, so a caller rendering many sets can reuse one buffer.
+func (s Set) AppendTo(b []byte) []byte {
+	b = append(b, '{')
+	for t := s; t != 0; t &= t - 1 {
+		if t != s {
+			b = append(b, ',')
 		}
-		first = false
-		b.WriteString(p.String())
-	})
-	b.WriteByte('}')
-	return b.String()
+		b = append(b, 'p')
+		b = strconv.AppendInt(b, int64(bits.TrailingZeros32(uint32(t)))+1, 10)
+	}
+	return append(b, '}')
 }
 
 // Subsets returns all subsets of s (including ∅ and s itself), in
@@ -195,11 +196,10 @@ func SubsetsOfSize(s Set, k int) []Set {
 // SortSets sorts a slice of sets by (size, bitmask) — a canonical order
 // used throughout the library for deterministic output.
 func SortSets(sets []Set) {
-	sort.Slice(sets, func(i, j int) bool {
-		si, sj := sets[i].Size(), sets[j].Size()
-		if si != sj {
-			return si < sj
+	slices.SortFunc(sets, func(a, b Set) int {
+		if c := cmp.Compare(a.Size(), b.Size()); c != 0 {
+			return c
 		}
-		return sets[i] < sets[j]
+		return cmp.Compare(a, b)
 	})
 }
