@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -136,4 +137,62 @@ func BenchmarkCensusServeClassify(b *testing.B) {
 		}
 		resp.Body.Close()
 	}
+}
+
+// BenchmarkCensusStoreMerge measures a campaign's merges: eight n=5
+// shards of 2^12 consecutive indices (gzip, as the fabric uploads
+// them), merged in order into a fresh store. "last/first" is the
+// eighth merge's time over the first's: a merge that rewrote every
+// stored block would take eight times longer by the end.
+func BenchmarkCensusStoreMerge(b *testing.B) {
+	const units, unit = 8, 1 << 12
+	dir := b.TempDir()
+	shards := make([]string, units)
+	for u := range shards {
+		shards[u] = filepath.Join(dir, fmt.Sprintf("unit-%d.jsonl.gz", u))
+		sink, err := census.NewJSONLSinkCompressed(shards[u])
+		if err != nil {
+			b.Fatal(err)
+		}
+		lo := uint64(u * unit)
+		if _, err := census.SweepRange(5, census.Options{Workers: 1}, sink, lo, lo+unit); err != nil {
+			b.Fatal(err)
+		}
+		if err := sink.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var first, last time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		storeDir := filepath.Join(dir, "store")
+		if err := os.RemoveAll(storeDir); err != nil {
+			b.Fatal(err)
+		}
+		st, err := Create(storeDir, 5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for u, shard := range shards {
+			t0 := time.Now()
+			if _, err := st.Merge([]string{shard}, MergeOptions{}); err != nil {
+				b.Fatal(err)
+			}
+			switch d := time.Since(t0); u {
+			case 0:
+				first += d
+			case units - 1:
+				last += d
+			}
+		}
+		b.StopTimer()
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(last)/float64(first), "last/first")
 }

@@ -1,10 +1,12 @@
 package store
 
 // Fuzz targets for the store's on-disk formats: the manifest with its
-// data file, and a single block payload. Both check the same property:
-// no input panics, and every failed read wraps ErrCorrupt. Seed
-// corpora live under testdata/fuzz/; the targets add real n=3 stores
-// as further seeds.
+// data file, and a single block payload. Both check the same
+// properties: no input panics, every failed read wraps ErrCorrupt, and
+// merging a valid shard into the store either lands the shard or fails
+// with a corruption, conflict or kind error and leaves the store's
+// files as they were. Seed corpora live under testdata/fuzz/; the
+// targets add real n=3 stores as further seeds.
 
 import (
 	"bytes"
@@ -54,6 +56,28 @@ func seedStore(f *testing.F, opts census.Options, blockEntries int) (man, data [
 	return man, data
 }
 
+// seedShard sweeps n=3 indices [40, 60), just past the seed stores,
+// and returns the JSONL shard's bytes.
+func seedShard(f *testing.F) []byte {
+	f.Helper()
+	path := filepath.Join(f.TempDir(), "shard.jsonl")
+	sink, err := census.NewJSONLSink(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := census.SweepRange(3, census.Options{Workers: 1}, sink, 40, 60); err != nil {
+		f.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		f.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return b
+}
+
 // checkCorrupt fails the fuzz run on a read error that is not
 // corruption.
 func checkCorrupt(t *testing.T, op string, err error) {
@@ -67,8 +91,9 @@ func checkCorrupt(t *testing.T, op string, err error) {
 // the domain, LoadPresence, a paged Range walk and the deep check.
 // Verify's semantic spot checks re-derive entries, which for solve
 // stores or large n can run for as long as the fuzzed entries ask, so
-// those get the physical pass only.
-func exerciseStore(t *testing.T, st *Store) {
+// those get the physical pass only. Last it merges shard (see
+// mergeShard).
+func exerciseStore(t *testing.T, st *Store, shard []byte) {
 	t.Helper()
 	domain := adversary.CensusSize(st.N())
 	for i := uint64(0); i < 64; i++ {
@@ -88,10 +113,45 @@ func exerciseStore(t *testing.T, st *Store) {
 		if _, err := st.Verify(VerifyOptions{SpotChecks: 2}); err != nil {
 			t.Fatalf("Verify: %v", err)
 		}
+	} else if _, _, _, _, err := st.verifyPhysical(&VerifyReport{}); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	mergeShard(t, st, shard)
+}
+
+// mergeShard merges a valid shard into the store in 8-entry blocks,
+// the seed stores' size, so their full leading blocks are carried. A
+// merge that succeeds must serve every shard line as it is; one that
+// fails must wrap ErrCorrupt, ErrConflict or ErrKindMismatch and leave
+// the store's files and manifest bytes as they were.
+func mergeShard(t *testing.T, st *Store, shard []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "shard.jsonl")
+	if err := os.WriteFile(path, shard, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	names, man, _ := storeFiles(t, st)
+	_, err := st.Merge([]string{path}, MergeOptions{BlockEntries: 8})
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrConflict) && !errors.Is(err, ErrKindMismatch) {
+			t.Fatalf("Merge: %v, want ErrCorrupt, ErrConflict or ErrKindMismatch", err)
+		}
+		if gotNames, gotMan, _ := storeFiles(t, st); !slices.Equal(gotNames, names) || !bytes.Equal(gotMan, man) {
+			t.Fatalf("failed Merge changed the store: files %v -> %v, manifest %q -> %q", names, gotNames, man, gotMan)
+		}
 		return
 	}
-	if _, _, _, _, err := st.verifyPhysical(&VerifyReport{}); err != nil {
-		t.Fatalf("Verify: %v", err)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, line := range bytes.Split(bytes.TrimSpace(shard), []byte{'\n'}) {
+		idx, err := entryIndex(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok, err := st.getRawLocked(idx)
+		if err != nil || !ok || !bytes.Equal(got, line) {
+			t.Fatalf("after Merge, index %d: ok=%v err=%v, line %q, want %q", idx, ok, err, got, line)
+		}
 	}
 }
 
@@ -102,6 +162,7 @@ func FuzzStoreOpen(f *testing.F) {
 		man, data := seedStore(f, census.Options{Workers: 1, Orbits: orbits, MaxIndices: 40}, 8)
 		f.Add(man, data)
 	}
+	shard := seedShard(f)
 	f.Fuzz(func(t *testing.T, man, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, manifestName), man, 0o644); err != nil {
@@ -122,7 +183,7 @@ func FuzzStoreOpen(f *testing.F) {
 			return
 		}
 		defer st.Close()
-		exerciseStore(t, st)
+		exerciseStore(t, st, shard)
 	})
 }
 
@@ -135,6 +196,7 @@ func FuzzStoreOpen(f *testing.F) {
 // parses only the lines it visits. The answers must agree.
 func FuzzBlockDecode(f *testing.F) {
 	man, data := seedStore(f, census.Options{Workers: 1, MaxIndices: 12}, 0)
+	shard := seedShard(f)
 	var m manifest
 	if err := json.Unmarshal(man, &m); err != nil {
 		f.Fatal(err)
@@ -221,6 +283,6 @@ func FuzzBlockDecode(f *testing.F) {
 		}
 		_, err = st.Summary()
 		checkCorrupt(t, "Summary", err)
-		exerciseStore(t, st)
+		exerciseStore(t, st, shard)
 	})
 }

@@ -5,9 +5,25 @@ package store
 // gzip — the census -compress output), producing a fresh generation of
 // sorted, non-overlapping compressed blocks. Overlapping and adjacent
 // index ranges fold together; two sources disagreeing on the bytes of
-// one index are a conflict, not a silent overwrite. Memory is bounded
-// by one block per source plus the block being built — campaign-sized
-// shards merge without materializing the domain.
+// one index are a conflict, not a silent overwrite.
+//
+// The merged stream is cut into blocks from its first index, so a run
+// of leading stored blocks that are full, overlap no later block and
+// end before every shard's first index comes out of the merge byte for
+// byte as it went in. Merge carries that prefix over unchanged — its
+// compressed bytes and manifest rows, CRC included — once each block
+// passes every check a merge applies to a stored block it reads, and
+// rewrites from the first block a shard touches or that is partial: an
+// in-order campaign compresses one shard plus at most one block per
+// merge, not the whole store. Carried blocks are still read, checked and written,
+// so the new generation is as self-contained as a full rewrite.
+//
+// The heap merge and the shard-line probe run on the calling goroutine.
+// The blocks it cuts are compressed, and the carried ones checked, on
+// runtime.GOMAXPROCS(0) workers; one writer lands them in stream order
+// at sequential offsets, the bytes a serial merge writes. Memory is
+// bounded by one block per source plus the blocks in flight —
+// campaign-sized shards merge without materializing the domain.
 
 import (
 	"bufio"
@@ -17,8 +33,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // MergeStats reports what one merge did.
@@ -52,24 +72,32 @@ func (s *Store) Merge(shardPaths []string, opts MergeOptions) (MergeStats, error
 		return MergeStats{}, fmt.Errorf("store: closed")
 	}
 
-	var sources []*mergeSource
-	for j := range s.man.Blocks {
-		sources = append(sources, &mergeSource{store: s, block: j, name: "store"})
-	}
+	var h sourceHeap
 	var closers []io.Closer
 	defer func() {
 		for _, c := range closers {
 			c.Close()
 		}
 	}()
+	// floor is the smallest index any shard brings.
+	floor := uint64(math.MaxUint64)
 	for _, path := range shardPaths {
 		src, err := openShardSource(path)
 		if err != nil {
 			return MergeStats{}, err
 		}
 		closers = append(closers, src)
-		sources = append(sources, src.mergeSource)
+		ok, err := src.next()
+		if err != nil {
+			return MergeStats{}, err
+		}
+		if ok {
+			h = append(h, src.mergeSource)
+			floor = min(floor, src.idx)
+		}
 	}
+	blocks := s.man.Blocks
+	carried := carriedPrefix(blocks, blockEntries, floor)
 
 	gen := s.man.Generation + 1
 	out, err := os.OpenFile(filepath.Join(s.dir, dataFileName(gen)), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
@@ -92,12 +120,27 @@ func (s *Store) Merge(shardPaths []string, opts MergeOptions) (MergeStats, error
 			os.Remove(filepath.Join(s.dir, dataFileName(gen)))
 		}
 	}()
+	pool := newBlockPool(s.data, out)
+	defer pool.wait()
+	// fail reports the first failure in stream order: a block already
+	// handed to the pool precedes whatever the merge loop hit.
+	fail := func(err error) (MergeStats, error) {
+		if _, perr := pool.wait(); perr != nil {
+			err = perr
+		}
+		return MergeStats{}, err
+	}
 
-	var h sourceHeap
-	for _, src := range sources {
+	var stats MergeStats
+	for _, b := range blocks[:carried] {
+		pool.submit(&blockJob{carry: true, meta: b})
+		stats.Total += uint64(b.Entries)
+	}
+	for j := carried; j < len(blocks); j++ {
+		src := &mergeSource{store: s, block: j, name: "store"}
 		ok, err := src.next()
 		if err != nil {
-			return MergeStats{}, err
+			return fail(err)
 		}
 		if ok {
 			h = append(h, src)
@@ -105,74 +148,70 @@ func (s *Store) Merge(shardPaths []string, opts MergeOptions) (MergeStats, error
 	}
 	heap.Init(&h)
 
-	var stats MergeStats
-	zw := gzip.NewWriter(nil)
-	var block [][]byte
+	// The block being cut: its lines, each ending in a newline.
+	var raw []byte
+	var count int
 	var first, last uint64
-	var off int64
 	haveLast := false
 	var lastLine []byte
-	flush := func() error {
-		if len(block) == 0 {
-			return nil
+	flush := func() {
+		if count > 0 {
+			pool.submit(&blockJob{raw: raw, meta: blockMeta{First: first, Last: last, Entries: count}})
+			raw, count = make([]byte, 0, len(raw)), 0
 		}
-		meta, err := appendBlock(out, zw, off, block, first, last)
-		if err != nil {
-			return err
-		}
-		off += meta.Size
-		newMan.Blocks = append(newMan.Blocks, meta)
-		block = block[:0]
-		return nil
 	}
-	for h.Len() > 0 {
+	for h.Len() > 0 && !pool.failed.Load() {
 		src := h[0]
 		idx, line := src.idx, src.line
+		if haveLast && idx == last {
+			// Same index seen again (overlapping sources): must agree.
+			if !bytes.Equal(line, lastLine) {
+				return fail(fmt.Errorf("%w: index %d (%s vs previous source)", ErrConflict, idx, src.name))
+			}
+			stats.Duplicates++
+		} else {
+			// Store-resident lines were admitted when first ingested;
+			// shard lines are checked against (and commit) the store's
+			// kind once, from the probe parsed during scanning — no
+			// reparse.
+			if src.scan != nil {
+				if err := admitKind(&newMan, src.orbit, idx); err != nil {
+					return fail(err)
+				}
+				if err := admitTask(&newMan, src.task, src.solved, idx); err != nil {
+					return fail(err)
+				}
+				if src.solved {
+					newMan.Solve = true
+				}
+			}
+			if count == 0 {
+				first = idx
+			}
+			raw = append(append(raw, line...), '\n')
+			count++
+			last, haveLast = idx, true
+			lastLine = append(lastLine[:0], line...)
+			stats.Total++
+			if count >= blockEntries {
+				flush()
+			}
+		}
+		// The source's line is consumed; advancing may overwrite it.
 		if ok, err := src.next(); err != nil {
-			return MergeStats{}, err
+			return fail(err)
 		} else if ok {
 			heap.Fix(&h, 0)
 		} else {
 			heap.Pop(&h)
 		}
-		if haveLast && idx == last {
-			// Same index seen again (overlapping sources): must agree.
-			if !bytes.Equal(line, lastLine) {
-				return MergeStats{}, fmt.Errorf("%w: index %d (%s vs previous source)", ErrConflict, idx, src.name)
-			}
-			stats.Duplicates++
-			continue
-		}
-		// Store-resident lines were admitted when first ingested; shard
-		// lines are checked against (and commit) the store's kind once,
-		// from the probe parsed during scanning — no reparse.
-		if src.scan != nil {
-			if err := admitKind(&newMan, src.orbit, idx); err != nil {
-				return MergeStats{}, err
-			}
-			if err := admitTask(&newMan, src.task, src.solved, idx); err != nil {
-				return MergeStats{}, err
-			}
-			if src.solved {
-				newMan.Solve = true
-			}
-		}
-		cp := append([]byte(nil), line...)
-		if len(block) == 0 {
-			first = idx
-		}
-		block = append(block, cp)
-		last, lastLine, haveLast = idx, cp, true
-		stats.Total++
-		if len(block) >= blockEntries {
-			if err := flush(); err != nil {
-				return MergeStats{}, err
-			}
-		}
 	}
-	if err := flush(); err != nil {
+	flush()
+	written, err := pool.wait()
+	if err != nil {
 		return MergeStats{}, err
 	}
+	newMan.Blocks = written
 	if err := out.Sync(); err != nil {
 		return MergeStats{}, err
 	}
@@ -205,6 +244,177 @@ func (s *Store) Merge(shardPaths []string, opts MergeOptions) (MergeStats, error
 	return stats, nil
 }
 
+// carriedPrefix returns the number of leading blocks a merge whose
+// shards bring no index below floor writes out unchanged: each holds
+// exactly blockEntries entries and ends before floor and before every
+// later block's first index. The merged stream then opens with exactly
+// these blocks' lines, and cutting it every blockEntries entries from
+// its first index reproduces them. A row that lies about its range is
+// caught when the block is checked (checkBlock).
+func carriedPrefix(blocks []blockMeta, blockEntries int, floor uint64) int {
+	carried := len(blocks)
+	limit := floor // min(floor, First of every block after j)
+	for j := len(blocks) - 1; j >= 0; j-- {
+		if blocks[j].Entries != blockEntries || blocks[j].Last >= limit {
+			carried = j
+		}
+		limit = min(limit, blocks[j].First)
+	}
+	return carried
+}
+
+// load reads one stored block from f through c and runs every check a
+// merge applies to a stored block: decode's (CRC, gzip framing, entry
+// count), an index parsed from every line, and checkBlock's. It returns
+// the block's compressed bytes and its entries (see decode for own).
+func (c *codec) load(f *os.File, b blockMeta, own bool) ([]byte, []blockEntry, error) {
+	comp, err := readBlockBytes(f, b)
+	if err != nil {
+		return nil, nil, err
+	}
+	entries, err := c.decode(comp, b, own)
+	if err == nil {
+		err = indexAll(entries, b.Offset)
+	}
+	if err == nil {
+		err = checkBlock(entries, b)
+	}
+	return comp, entries, err
+}
+
+// checkBlock requires a stored block's parsed indices to increase
+// strictly from its manifest First to its Last: carriedPrefix chose
+// the carried blocks by those bounds.
+func checkBlock(entries []blockEntry, b blockMeta) error {
+	for i := 1; i < len(entries); i++ {
+		if entries[i].idx <= entries[i-1].idx {
+			return fmt.Errorf("%w: block at %d is not sorted by index (%d after %d)",
+				ErrCorrupt, b.Offset, entries[i].idx, entries[i-1].idx)
+		}
+	}
+	if n := len(entries); n > 0 && (entries[0].idx != b.First || entries[n-1].idx != b.Last) {
+		return fmt.Errorf("%w: block at %d spans [%d, %d], manifest says [%d, %d]",
+			ErrCorrupt, b.Offset, entries[0].idx, entries[n-1].idx, b.First, b.Last)
+	}
+	return nil
+}
+
+// blockJob is one block of the new generation: a stored block carried
+// over (carry set; meta is its row) or lines cut by the merge (raw,
+// meta without size and CRC). Its worker fills comp and err and closes
+// done; the writer then sets meta's offset.
+type blockJob struct {
+	carry bool
+	meta  blockMeta
+	raw   []byte
+	comp  []byte
+	err   error
+	done  chan struct{}
+}
+
+// blockPool compresses a merge's cut blocks and checks its carried ones
+// on runtime.GOMAXPROCS(0) workers, each with its own codec, while one
+// writer lands finished blocks in submission order at sequential
+// offsets of the new generation.
+type blockPool struct {
+	src, out *os.File // the live generation's data file; the new one
+	jobs     chan *blockJob
+	order    chan *blockJob
+	failed   atomic.Bool // set by the writer at the first failure
+	workers  sync.WaitGroup
+	landed   chan struct{} // closed when the writer is done
+	closed   bool
+
+	// Owned by the writer until landed is closed.
+	written []blockMeta
+	off     int64
+	err     error
+}
+
+// newBlockPool starts the workers and the writer; wait stops them.
+// The merge holds the store's lock across submit's sends: the pool's
+// goroutines never take it.
+func newBlockPool(src, out *os.File) *blockPool {
+	w := runtime.GOMAXPROCS(0)
+	p := &blockPool{
+		src: src,
+		out: out,
+		// One queued block per worker keeps each busy while the merge
+		// cuts the next; the writer may trail the merge by a few blocks
+		// per worker before submit blocks. That bounds the blocks in
+		// flight, and with them the merge's memory.
+		jobs:   make(chan *blockJob, w),
+		order:  make(chan *blockJob, 4*w),
+		landed: make(chan struct{}),
+	}
+	p.workers.Add(w)
+	for range w {
+		go p.work()
+	}
+	go p.write()
+	return p
+}
+
+// submit hands one block to the pool.
+func (p *blockPool) submit(job *blockJob) {
+	job.done = make(chan struct{})
+	p.order <- job
+	p.jobs <- job
+}
+
+// wait closes the pool to new blocks and waits for its goroutines. It
+// returns the rows of the blocks written, in order, or the first
+// failure in submission order. Later calls return the same.
+func (p *blockPool) wait() ([]blockMeta, error) {
+	if !p.closed {
+		p.closed = true
+		close(p.jobs)
+		close(p.order)
+		p.workers.Wait()
+		<-p.landed
+	}
+	return p.written, p.err
+}
+
+func (p *blockPool) work() {
+	defer p.workers.Done()
+	var c codec
+	for job := range p.jobs {
+		switch {
+		case p.failed.Load():
+			// Nothing after the first failure lands.
+		case job.carry:
+			job.comp, _, job.err = c.load(p.src, job.meta, false)
+		default:
+			var comp []byte
+			comp, job.meta, job.err = c.encode(job.raw, job.meta.Entries, job.meta.First, job.meta.Last)
+			job.comp = bytes.Clone(comp)
+		}
+		close(job.done)
+	}
+}
+
+func (p *blockPool) write() {
+	defer close(p.landed)
+	for job := range p.order {
+		<-job.done
+		if p.err != nil {
+			continue
+		}
+		if job.err == nil {
+			_, job.err = p.out.WriteAt(job.comp, p.off)
+		}
+		if job.err != nil {
+			p.err = job.err
+			p.failed.Store(true)
+			continue
+		}
+		job.meta.Offset = p.off
+		p.off += job.meta.Size
+		p.written = append(p.written, job.meta)
+	}
+}
+
 // mergeSource yields (index, line) pairs in increasing index order from
 // either a store block or a shard scanner.
 type mergeSource struct {
@@ -217,14 +427,14 @@ type mergeSource struct {
 	pos     int
 
 	// Shard source.
-	scan *bufio.Scanner
+	scan    *bufio.Scanner
+	started bool // a line has been read
 
-	idx     uint64
-	line    []byte
-	orbit   bool   // shard lines: entry carries an orbit size
-	solved  bool   // shard lines: entry carries solve results
-	task    string // shard lines: task spec the entry answers ("" = kset/classify)
-	started bool
+	idx    uint64
+	line   []byte
+	orbit  bool   // shard lines: entry carries an orbit size
+	solved bool   // shard lines: entry carries solve results
+	task   string // shard lines: task spec the entry answers ("" = kset/classify)
 }
 
 // lineProbe extracts the merge-relevant fields of a census JSON line
@@ -236,17 +446,13 @@ type lineProbe struct {
 	Task      string `json:"task"`
 }
 
-// next advances to the following entry; false means exhausted.
+// next advances to the following entry; false means exhausted. A
+// shard source's line is valid until the next call.
 func (m *mergeSource) next() (bool, error) {
-	prev, had := m.idx, m.started
-	switch {
-	case m.store != nil:
+	if m.store != nil {
 		if m.entries == nil {
-			b := m.store.man.Blocks[m.block]
-			entries, err := m.store.readBlockLocked(b)
-			if err == nil {
-				err = indexAll(entries, b.Offset)
-			}
+			// load's checks order the lines strictly (checkBlock).
+			_, entries, err := m.store.codec.load(m.store.data, m.store.man.Blocks[m.block], true)
 			if err != nil {
 				return false, err
 			}
@@ -257,28 +463,27 @@ func (m *mergeSource) next() (bool, error) {
 		}
 		m.idx, m.line = m.entries[m.pos].idx, m.entries[m.pos].line
 		m.pos++
-	default:
+		return true, nil
+	}
+	var line []byte
+	for len(bytes.TrimSpace(line)) == 0 {
 		if !m.scan.Scan() {
 			if err := m.scan.Err(); err != nil {
 				return false, fmt.Errorf("store: read shard %s: %w", m.name, err)
 			}
 			return false, nil
 		}
-		line := m.scan.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			return m.next()
-		}
-		var probe lineProbe
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return false, fmt.Errorf("store: shard %s: %w", m.name, err)
-		}
-		m.idx, m.line = probe.Index, append([]byte(nil), line...)
-		m.orbit, m.solved, m.task = probe.OrbitSize > 0, probe.Solved, probe.Task
+		line = m.scan.Bytes()
 	}
-	if had && m.idx < prev {
-		return false, fmt.Errorf("store: source %s is not sorted by index (%d after %d)", m.name, m.idx, prev)
+	var probe lineProbe
+	if err := json.Unmarshal(line, &probe); err != nil {
+		return false, fmt.Errorf("store: shard %s: %w", m.name, err)
 	}
-	m.started = true
+	if m.started && probe.Index < m.idx {
+		return false, fmt.Errorf("store: source %s is not sorted by index (%d after %d)", m.name, probe.Index, m.idx)
+	}
+	m.idx, m.line, m.started = probe.Index, line, true
+	m.orbit, m.solved, m.task = probe.OrbitSize > 0, probe.Solved, probe.Task
 	return true, nil
 }
 

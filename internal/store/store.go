@@ -150,10 +150,9 @@ type Store struct {
 	// for the lookup probe to parse on demand. Cleared with blockCache.
 	parsedBlocks map[int64]struct{}
 
-	// Inflate state reused by every block read under mu: the gzip
-	// reader and the buffer it inflates into.
-	zr       *gzip.Reader
-	inflated bytes.Buffer
+	// codec is the block compression state every read and PutNew
+	// under mu reuses.
+	codec codec
 
 	summary *census.Summary // cached aggregate; nil after writes
 
@@ -565,16 +564,47 @@ func (s *Store) readBlockLocked(b blockMeta) ([]blockEntry, error) {
 	if s.data == nil {
 		return nil, errors.New("store: closed")
 	}
+	comp, err := readBlockBytes(s.data, b)
+	if err != nil {
+		return nil, err
+	}
+	return s.codec.decode(comp, b, true)
+}
+
+// readBlockBytes reads one block's compressed bytes from a data file.
+func readBlockBytes(f *os.File, b blockMeta) ([]byte, error) {
 	comp := make([]byte, b.Size)
-	if _, err := s.data.ReadAt(comp, b.Offset); err != nil {
+	if _, err := f.ReadAt(comp, b.Offset); err != nil {
 		return nil, fmt.Errorf("%w: read block at %d: %v", ErrCorrupt, b.Offset, err)
 	}
+	return comp, nil
+}
+
+// codec is one goroutine's block compression state: a gzip writer and
+// reader reused across blocks and the buffers they fill. Every block
+// the store reads or writes goes through a codec.
+type codec struct {
+	zw       *gzip.Writer
+	zr       *gzip.Reader
+	deflated bytes.Buffer
+	inflated bytes.Buffer
+}
+
+// decode checks one block's compressed bytes against its manifest row
+// (CRC, gzip framing, entry count) and splits it into lines, leaving
+// them unparsed. With own set the lines live in a copy of the inflated
+// bytes; otherwise they alias c's buffer and are valid until c's next
+// use.
+func (c *codec) decode(comp []byte, b blockMeta, own bool) ([]blockEntry, error) {
 	if crc := crc32.ChecksumIEEE(comp); crc != b.CRC {
 		return nil, fmt.Errorf("%w: block at %d: crc %08x, manifest %08x", ErrCorrupt, b.Offset, crc, b.CRC)
 	}
-	raw, err := s.inflateLocked(comp)
+	raw, err := c.inflate(comp)
 	if err != nil {
 		return nil, fmt.Errorf("%w: block at %d: %v", ErrCorrupt, b.Offset, err)
+	}
+	if own {
+		raw = bytes.Clone(raw)
 	}
 	entries := make([]blockEntry, 0, min(b.Entries, bytes.Count(raw, []byte{'\n'})+1))
 	for len(raw) > 0 {
@@ -591,29 +621,55 @@ func (s *Store) readBlockLocked(b blockMeta) ([]blockEntry, error) {
 	return entries, nil
 }
 
-// inflateLocked decompresses one block through the store's reused gzip
-// reader and scratch buffer and returns an exactly sized copy. The
-// buffer grows with what the stream yields: the gzip size trailer is
-// never trusted for sizing. Callers hold s.mu.
-func (s *Store) inflateLocked(comp []byte) ([]byte, error) {
+// inflate decompresses one block into c's buffer and returns its
+// bytes, valid until c's next use. The buffer grows with what the
+// stream yields: the gzip size trailer is never trusted for sizing.
+func (c *codec) inflate(comp []byte) ([]byte, error) {
 	src := bytes.NewReader(comp)
-	if s.zr == nil {
+	if c.zr == nil {
 		zr, err := gzip.NewReader(src)
 		if err != nil {
 			return nil, err
 		}
-		s.zr = zr
-	} else if err := s.zr.Reset(src); err != nil {
+		c.zr = zr
+	} else if err := c.zr.Reset(src); err != nil {
 		return nil, err
 	}
-	s.inflated.Reset()
-	if _, err := s.inflated.ReadFrom(s.zr); err != nil {
+	c.inflated.Reset()
+	if _, err := c.inflated.ReadFrom(c.zr); err != nil {
 		return nil, err
 	}
-	if err := s.zr.Close(); err != nil {
+	if err := c.zr.Close(); err != nil {
 		return nil, err
 	}
-	return bytes.Clone(s.inflated.Bytes()), nil
+	return c.inflated.Bytes(), nil
+}
+
+// encode compresses one block — raw holds its lines, each ending in a
+// newline — and returns the compressed bytes and the block's manifest
+// row, offset unset. The bytes are valid until c's next use. A reset
+// writer produces the bytes a fresh one does, however raw was split
+// into writes.
+func (c *codec) encode(raw []byte, entries int, first, last uint64) ([]byte, blockMeta, error) {
+	if c.zw == nil {
+		c.zw = gzip.NewWriter(nil)
+	}
+	c.deflated.Reset()
+	c.zw.Reset(&c.deflated)
+	if _, err := c.zw.Write(raw); err != nil {
+		return nil, blockMeta{}, err
+	}
+	if err := c.zw.Close(); err != nil {
+		return nil, blockMeta{}, err
+	}
+	comp := c.deflated.Bytes()
+	return comp, blockMeta{
+		First:   first,
+		Last:    last,
+		Entries: entries,
+		Size:    int64(len(comp)),
+		CRC:     crc32.ChecksumIEEE(comp),
+	}, nil
 }
 
 // entryIndex extracts the enumeration index from a census JSON line.
@@ -745,10 +801,14 @@ func (s *Store) PutNew(e *census.Entry) (added bool, err error) {
 		}
 		return false, nil
 	}
-	meta, err := appendBlock(s.data, gzip.NewWriter(nil), s.dataEnd, [][]byte{line}, e.Index, e.Index)
+	comp, meta, err := s.codec.encode(append(line, '\n'), 1, e.Index, e.Index)
 	if err != nil {
 		return false, err
 	}
+	if _, err := s.data.WriteAt(comp, s.dataEnd); err != nil {
+		return false, err
+	}
+	meta.Offset = s.dataEnd
 	if err := s.data.Sync(); err != nil {
 		return false, err
 	}
@@ -819,33 +879,6 @@ func admitTask(man *manifest, task string, solved bool, idx uint64) error {
 		return fmt.Errorf("%w: store answers task %q, entry %d answers %q",
 			ErrKindMismatch, man.Task, idx, task)
 	}
-}
-
-// appendBlock compresses lines into one block at the given offset of f
-// through zw, which it resets: a merge writing many blocks allocates
-// one compressor, not one per block, and the bytes are the same.
-func appendBlock(f *os.File, zw *gzip.Writer, off int64, lines [][]byte, first, last uint64) (blockMeta, error) {
-	var buf bytes.Buffer
-	zw.Reset(&buf)
-	for _, line := range lines {
-		if _, err := zw.Write(append(line, '\n')); err != nil {
-			return blockMeta{}, err
-		}
-	}
-	if err := zw.Close(); err != nil {
-		return blockMeta{}, err
-	}
-	if _, err := f.WriteAt(buf.Bytes(), off); err != nil {
-		return blockMeta{}, err
-	}
-	return blockMeta{
-		First:   first,
-		Last:    last,
-		Entries: len(lines),
-		Offset:  off,
-		Size:    int64(buf.Len()),
-		CRC:     crc32.ChecksumIEEE(buf.Bytes()),
-	}, nil
 }
 
 // writeManifestLocked persists the manifest atomically (tmp file,
