@@ -42,6 +42,7 @@ import (
 	"repro/internal/chromatic"
 	"repro/internal/procs"
 	"repro/internal/render"
+	"repro/internal/solver"
 	"repro/internal/store"
 	"repro/internal/tasks"
 )
@@ -415,7 +416,7 @@ func cmdCensus(args []string) error {
 		Resume:          *resume,
 		MaxIndices:      *maxIndices,
 		Budget:          *budget,
-		CacheBytes:      *cacheMB << 20,
+		Cache:           chromatic.NewTowerCacheWithBudget(*cacheMB << 20),
 	}
 	stopDebug, derr := startDebug("census", *debugAddr, *tracePath, nil)
 	if derr != nil {
@@ -890,7 +891,8 @@ func cmdSolve(args []string) error {
 	}
 	m.SetWorkers(*workers)
 	fmt.Printf("model %v: setcon = %d (FACT predicts solvable ⇔ k ≥ setcon)\n", a, m.Setcon())
-	res, err := m.SolveKSetConsensus(*kTask, *rounds)
+	cache := chromatic.NewTowerCache()
+	res, err := m.SolveWith(tasks.KSetConsensus(m.N(), *kTask), *rounds, solver.Options{Cache: cache})
 	if err != nil {
 		return err
 	}
@@ -902,7 +904,7 @@ func cmdSolve(args []string) error {
 			*kTask, *rounds, res.ComplexSizes)
 	}
 	if *stats {
-		printCacheStats(chromatic.DefaultTowerCache.Snapshot())
+		printCacheStats(cache.Snapshot())
 	}
 	return nil
 }

@@ -512,11 +512,12 @@ func TestIterateRA(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := standardComplex(t, 3)
-	tower, err := ra.Iterate(input, 1)
-	if err != nil {
+	var unshared *chromatic.TowerCache
+	tower := unshared.Acquire(ra.Signature(), input, 0)
+	if err := tower.EnsureHeightTables(ra, 1); err != nil {
 		t.Fatal(err)
 	}
-	top := tower.Top()
+	top := tower.Tower().Top()
 	if !top.IsChromatic() {
 		t.Errorf("R_A(s) must be chromatic")
 	}

@@ -74,24 +74,22 @@ func TestPrecomputeRestrictedFacetsMatchesSerial(t *testing.T) {
 }
 
 // TestIterateTablesMatchesCallbackTower pins the redesigned tower
-// route: IterateWorkers (task-native tables) equals a tower extended
-// through the compat callback, at one and at eight workers.
+// route: a tower extended through the task-native tables equals one
+// extended through the compat callback, at one and at eight workers.
 func TestIterateTablesMatchesCallbackTower(t *testing.T) {
 	task := buildTask(t, adversary.TResilient(3, 1))
 	input := standardComplex(t, 3)
+	var unshared *chromatic.TowerCache
 	for _, workers := range []int{1, 8} {
-		viaTables, err := task.IterateWorkers(input, 2, workers)
-		if err != nil {
+		viaTables := unshared.Acquire("", input, workers)
+		if err := viaTables.EnsureHeightTables(task, 2); err != nil {
 			t.Fatal(err)
 		}
-		compat := chromatic.NewTower(input)
-		compat.SetWorkers(workers)
-		for i := 0; i < 2; i++ {
-			if err := compat.ExtendTables(chromatic.TablesOf(task.Membership())); err != nil {
-				t.Fatal(err)
-			}
+		compat := unshared.Acquire("", input, workers)
+		if err := compat.EnsureHeightTables(chromatic.TablesOf(task.Membership()), 2); err != nil {
+			t.Fatal(err)
 		}
-		if !viaTables.Top().Equal(compat.Top()) {
+		if !viaTables.Tower().Top().Equal(compat.Tower().Top()) {
 			t.Fatalf("workers=%d: table tower differs from callback tower", workers)
 		}
 	}

@@ -129,10 +129,10 @@ func (t *Task) Signature() string {
 // MembershipTable returns the task's precomputed rank-indexed
 // membership bitset over the given ground set — affine.Task natively
 // implements chromatic.MemberTables, so the task itself is the fast
-// path of ApplyAffineTables / Tower.ExtendTables. Tables are built once
-// per (task, ground): from the facet key set on the full ground, and
-// through the complex's closure on restricted grounds. Safe for
-// concurrent use.
+// path of ApplyAffineTables / CachedTower.EnsureHeightTables. Tables
+// are built once per (task, ground): from the facet key set on the full
+// ground, and through the complex's closure on restricted grounds. Safe
+// for concurrent use.
 func (t *Task) MembershipTable(ground procs.Set) *chromatic.MembershipTable {
 	t.tabMu.Lock()
 	mt, ok := t.tables[ground]
@@ -306,25 +306,4 @@ func (t *Task) VertexCensus() int {
 		}
 	}
 	return len(seen)
-}
-
-// Iterate builds the m-fold iteration L^m(I) over an input complex I
-// (use the standard simplex for the affine model of Section 2) and
-// returns the tower with carrier tracking.
-func (t *Task) Iterate(input *sc.Complex, m int) (*chromatic.Tower, error) {
-	return t.IterateWorkers(input, m, 0)
-}
-
-// IterateWorkers is Iterate with an explicit subdivision worker count
-// (<= 0 selects chromatic.DefaultWorkers(), 1 the serial path). The
-// tower extends through the task's rank-indexed membership tables.
-func (t *Task) IterateWorkers(input *sc.Complex, m, workers int) (*chromatic.Tower, error) {
-	tower := chromatic.NewTower(input)
-	tower.SetWorkers(workers)
-	for i := 0; i < m; i++ {
-		if err := tower.ExtendTables(t); err != nil {
-			return nil, err
-		}
-	}
-	return tower, nil
 }

@@ -53,16 +53,14 @@ type MiddlewareOptions struct {
 	// Required.
 	Metrics *HTTPMetrics
 
-	// Auth, when non-nil, requires a valid API key on every
-	// non-exempt request and rate-limits per key. Nil admits openly.
+	// Auth, when non-nil, requires a valid API key on every request
+	// but the probe endpoints (ProbePath) and rate-limits per key. Nil
+	// admits openly.
 	Auth *AuthConfig
 
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// request.
 	AccessLog io.Writer
-
-	// Exempt reports paths that skip auth. Nil selects ProbePath.
-	Exempt func(path string) bool
 }
 
 // Middleware is the assembled chain; build with NewMiddleware and wrap
@@ -79,9 +77,6 @@ type Middleware struct {
 func NewMiddleware(opts MiddlewareOptions) *Middleware {
 	if opts.Metrics == nil {
 		opts.Metrics = NewHTTPMetrics("api")
-	}
-	if opts.Exempt == nil {
-		opts.Exempt = ProbePath
 	}
 	mw := &Middleware{
 		opts:  opts,
@@ -107,7 +102,7 @@ func (mw *Middleware) Wrap(next http.Handler) http.Handler {
 		defer m.Inflight.Add(-1)
 
 		keyName := ""
-		if mw.opts.Auth != nil && !mw.opts.Exempt(r.URL.Path) {
+		if mw.opts.Auth != nil && !ProbePath(r.URL.Path) {
 			name, status, retryAfter := mw.opts.Auth.Admit(r)
 			keyName = name
 			switch status {

@@ -103,8 +103,9 @@ type Options struct {
 	VerifyWitnesses bool
 
 	// Cache is the shared iterated-subdivision cache for solve jobs.
-	// Nil selects a cache private to the run (byte-budgeted by
-	// CacheBytes when set).
+	// Nil selects an unbounded cache private to the run; pass
+	// chromatic.NewTowerCacheWithBudget to bound it (LRU eviction) so
+	// long campaigns run flat.
 	Cache *chromatic.TowerCache
 
 	// Universe is the Chr² vertex identity space solve jobs build R_A
@@ -112,11 +113,6 @@ type Options struct {
 	// chromatic.SharedUniverse(n) to share vertices with other engines
 	// of the process (the store query layer does).
 	Universe *chromatic.Universe
-
-	// CacheBytes bounds the run-private tower cache (LRU eviction) so
-	// long campaigns run flat. Only used when Cache is nil; <= 0 means
-	// unbounded.
-	CacheBytes int64
 
 	// Orbits sweeps one canonical representative per color-permutation
 	// orbit instead of the whole domain — up to n! fewer adversaries

@@ -39,8 +39,7 @@ type runEnv struct {
 // environment: the resolved task spec (Options.Task, or kset:k=1),
 // defaulted rounds, a Universe (the run-private default, or
 // opts.Universe to share e.g. chromatic.SharedUniverse across engines),
-// and a TowerCache (opts.Cache, or a private one budgeted by
-// CacheBytes).
+// and a TowerCache (opts.Cache, or a private unbounded one).
 func newRunEnv(n int, opts *Options) (*runEnv, error) {
 	spec := tasks.KSetSpec(1)
 	if opts.Task != "" {
@@ -75,11 +74,7 @@ func newRunEnv(n int, opts *Options) (*runEnv, error) {
 	}
 	cache := opts.Cache
 	if cache == nil {
-		if opts.CacheBytes > 0 {
-			cache = chromatic.NewTowerCacheWithBudget(opts.CacheBytes)
-		} else {
-			cache = chromatic.NewTowerCache()
-		}
+		cache = chromatic.NewTowerCache()
 	}
 	universe := opts.Universe
 	if universe == nil {
@@ -196,7 +191,7 @@ type Examiner struct {
 
 // NewExaminer builds an examiner for n-process queries. Only the
 // examination-shaping options are read: Solve, Task, MaxRounds,
-// VerifyWitnesses, Cache/CacheBytes and Universe. Pass
+// VerifyWitnesses, Cache and Universe. Pass
 // chromatic.SharedUniverse(n) as opts.Universe to share the vertex
 // identity space with other engines of the process.
 func NewExaminer(n int, opts Options) (*Examiner, error) {
@@ -224,11 +219,6 @@ func (x *Examiner) Examine(idx uint64) (Entry, error) {
 		return Entry{}, fmt.Errorf("census: index %d beyond the n=%d domain", idx, x.env.n)
 	}
 	return x.env.examine(idx, 0)
-}
-
-// CacheSnapshot reports the examiner's tower-cache statistics.
-func (x *Examiner) CacheSnapshot() chromatic.CacheStats {
-	return x.env.cache.Snapshot()
 }
 
 // Clone returns a deep copy of the entry: retained entries must not

@@ -3,14 +3,16 @@ package chromatic
 // TowerCache memoizes iterated subdivisions R_A^l(I) across solvability
 // queries: an entry is keyed by the membership predicate's signature and
 // the input complex's hash, and holds one Tower that is extended lazily
-// and monotonically. Repeated SolveAffine calls, the core experiments
-// and the factool subcommands therefore build each level exactly once.
+// and monotonically. Every decision that shares a cache — the queries
+// of one fact.Model, a census run, a serving process — therefore builds
+// each level exactly once. Acquire is the only way to obtain a tower: a
+// nil *TowerCache shares nothing and hands out a fresh tower per call.
 //
 // Memory can be bounded for long-running enumeration campaigns: with a
-// byte budget set (SetMaxBytes / NewTowerCacheWithBudget), entries are
-// tracked in least-recently-acquired order with an approximate resident
-// size, and unpinned entries are evicted from the cold end whenever the
-// budget is exceeded — the cache runs flat instead of accreting one
+// byte budget set (NewTowerCacheWithBudget), entries are tracked in
+// least-recently-acquired order with an approximate resident size, and
+// unpinned entries are evicted from the cold end whenever the budget
+// is exceeded — the cache runs flat instead of accreting one
 // tower per distinct R_A signature over a whole census. Entries are
 // pinned while acquired: Acquire pins, CachedTower.Release unpins, and
 // only unpinned entries are evicted, so a tower never disappears under
@@ -30,7 +32,9 @@ import (
 )
 
 // TowerCache is a concurrency-safe cache of iterated subdivisions.
-// The zero value is not usable; create instances with NewTowerCache.
+// The zero value is not usable; create instances with NewTowerCache or
+// NewTowerCacheWithBudget. A nil *TowerCache is usable: Acquire hands
+// out unshared towers.
 type TowerCache struct {
 	mu       sync.Mutex
 	entries  map[string]*cacheEntry
@@ -53,10 +57,6 @@ type cacheEntry struct {
 	evicted bool
 }
 
-// DefaultTowerCache is the process-wide cache used by solver.SolveAffine
-// and the Model convenience APIs.
-var DefaultTowerCache = NewTowerCache()
-
 // NewTowerCache creates an empty cache with no byte budget.
 func NewTowerCache() *TowerCache {
 	return &TowerCache{entries: make(map[string]*cacheEntry), lru: list.New()}
@@ -71,18 +71,10 @@ func NewTowerCacheWithBudget(maxBytes int64) *TowerCache {
 	return c
 }
 
-// SetMaxBytes installs (or clears, with n <= 0) the byte budget and
-// immediately evicts down to it.
-func (c *TowerCache) SetMaxBytes(n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxBytes = n
-	c.evictLocked()
-}
-
 // CachedTower is a shared, lazily extended tower. Extension is
 // serialized internally; the underlying Tower may be read concurrently
-// up to any height already ensured.
+// up to any height already ensured. One handed out by a nil cache
+// belongs to its caller alone.
 type CachedTower struct {
 	mu    sync.Mutex
 	tower *Tower
@@ -101,7 +93,13 @@ type CachedTower struct {
 // callers should Release the tower when done so it becomes evictable
 // (unbounded caches never evict, so legacy callers that never Release
 // only forgo eviction, nothing else).
+//
+// On a nil cache Acquire ignores sig and returns a new tower that no
+// other call sees; its Release does nothing.
 func (c *TowerCache) Acquire(sig string, input *sc.Complex, workers int) *CachedTower {
+	if c == nil {
+		return &CachedTower{tower: newTower(input, workers)}
+	}
 	key := sig + "\x00" + input.Hash()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -112,8 +110,7 @@ func (c *TowerCache) Acquire(sig string, input *sc.Complex, workers int) *Cached
 		return e.ct
 	}
 	c.misses.Add(1)
-	tower := NewTower(input)
-	tower.SetWorkers(workers)
+	tower := newTower(input, workers)
 	e := &cacheEntry{key: key, bytes: tower.ApproxBytes(), pins: 1}
 	e.ct = &CachedTower{tower: tower, cache: c, entry: e}
 	e.elem = c.lru.PushFront(e)
@@ -283,7 +280,7 @@ func (ct *CachedTower) EnsureHeightTablesTraced(tables MemberTables, height int,
 	span := parent.Child("chromatic.tower_extend",
 		"from", strconv.Itoa(from), "to", strconv.Itoa(height))
 	for ct.tower.Height() < height {
-		if err := ct.tower.ExtendTables(tables); err != nil {
+		if err := ct.tower.extend(tables); err != nil {
 			span.End()
 			return err
 		}

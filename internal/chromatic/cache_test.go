@@ -11,8 +11,8 @@ import (
 // them is a miss that rebuilds.
 func TestTowerCacheEviction(t *testing.T) {
 	base := standardBase(t, 3)
-	one := NewTower(base)
-	if err := one.ExtendTables(FullChr2Tables); err != nil {
+	one := newTower(base, 1)
+	if err := one.extend(FullChr2Tables); err != nil {
 		t.Fatal(err)
 	}
 	towerBytes := one.ApproxBytes()
@@ -54,8 +54,8 @@ func TestTowerCacheEviction(t *testing.T) {
 // and sacrifices the colder one instead.
 func TestTowerCacheLRUOrder(t *testing.T) {
 	base := standardBase(t, 3)
-	probe := NewTower(base)
-	if err := probe.ExtendTables(FullChr2Tables); err != nil {
+	probe := newTower(base, 1)
+	if err := probe.extend(FullChr2Tables); err != nil {
 		t.Fatal(err)
 	}
 	cache := NewTowerCacheWithBudget(2*probe.ApproxBytes() + probe.ApproxBytes()/2)
@@ -145,27 +145,37 @@ func TestTowerCacheUnboundedNeverEvicts(t *testing.T) {
 	}
 }
 
-// TestSetMaxBytesEvictsImmediately checks installing a budget on a full
-// cache trims it without waiting for the next Acquire.
-func TestSetMaxBytesEvictsImmediately(t *testing.T) {
+// TestNilTowerCacheUnshared pins the nil-cache contract: every Acquire
+// on a nil *TowerCache hands out a tower of its own that builds the
+// same levels a cached tower does, and Release on it does nothing.
+func TestNilTowerCacheUnshared(t *testing.T) {
 	base := standardBase(t, 3)
 	cache := NewTowerCache()
-	for i := 0; i < 3; i++ {
-		ct := cache.Acquire(fmt.Sprintf("sig-%d", i), base, 1)
-		if err := ct.EnsureHeightTables(FullChr2Tables, 1); err != nil {
+	shared := cache.Acquire("sig", base, 1)
+	defer shared.Release()
+	if err := shared.EnsureHeightTables(FullChr2Tables, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	var none *TowerCache
+	a := none.Acquire("sig", base, 1)
+	b := none.Acquire("sig", base, 2)
+	if a == b || a.Tower() == b.Tower() {
+		t.Fatal("a nil cache handed out one tower twice")
+	}
+	for _, ct := range []*CachedTower{a, b} {
+		if err := ct.EnsureHeightTables(FullChr2Tables, 2); err != nil {
 			t.Fatal(err)
 		}
+		for level := 1; level <= 2; level++ {
+			if got, want := ct.Tower().LevelComplex(level).Hash(), shared.Tower().LevelComplex(level).Hash(); got != want {
+				t.Fatalf("level %d hash %s, cached tower %s", level, got, want)
+			}
+		}
 		ct.Release()
-	}
-	if cache.Len() != 3 {
-		t.Fatalf("len = %d, want 3", cache.Len())
-	}
-	cache.SetMaxBytes(1)
-	if cache.Len() != 0 {
-		t.Fatalf("len = %d after SetMaxBytes(1), want 0", cache.Len())
-	}
-	st := cache.Snapshot()
-	if st.Evictions != 3 {
-		t.Fatalf("evictions = %d, want 3", st.Evictions)
+		ct.Release()
+		if h := ct.Tower().Height(); h != 2 {
+			t.Fatalf("height %d after Release, want 2", h)
+		}
 	}
 }

@@ -219,9 +219,9 @@ func TestApplyAffineFullChr2(t *testing.T) {
 
 func TestTowerCarriers(t *testing.T) {
 	input := standardComplex(t, 2)
-	tower := NewTower(input)
+	tower := newTower(input, 0)
 	for i := 0; i < 2; i++ {
-		if err := tower.ExtendTables(FullChr2Tables); err != nil {
+		if err := tower.extend(FullChr2Tables); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -465,11 +465,12 @@ func (it *Iterated) SimplexCarrier(s sc.Simplex) sc.Simplex {
 }
 
 // Tower is an iterated application L^ℓ(I): level 0 is the input complex,
-// each ExtendTables applies an affine task (or full Chr²) to the top.
+// each extension applies an affine task (or full Chr²) to the top.
 //
-// A Tower may be shared by concurrent readers (carrier queries and
-// level access are mutex-guarded); ExtendTables calls must be
-// serialized by the caller — TowerCache does so for cached towers.
+// Towers come only from TowerCache.Acquire and grow only through
+// CachedTower.EnsureHeightTables, which serializes extensions. A Tower
+// may be shared by concurrent readers: carrier queries and level access
+// are mutex-guarded.
 type Tower struct {
 	Input  *sc.Complex
 	Levels []*Iterated
@@ -479,15 +480,11 @@ type Tower struct {
 	rootCache map[int]map[sc.VertexID]sc.Simplex
 }
 
-// NewTower starts a tower over the given input complex using the default
-// worker count for extensions.
-func NewTower(input *sc.Complex) *Tower {
-	return &Tower{Input: input, rootCache: make(map[int]map[sc.VertexID]sc.Simplex)}
+// newTower starts a tower over the given input complex whose extensions
+// run on workers goroutines (<= 0 selects DefaultWorkers()).
+func newTower(input *sc.Complex, workers int) *Tower {
+	return &Tower{Input: input, workers: workers, rootCache: make(map[int]map[sc.VertexID]sc.Simplex)}
 }
-
-// SetWorkers fixes the worker count used by subsequent ExtendTables
-// calls (<= 0 selects DefaultWorkers()).
-func (t *Tower) SetWorkers(workers int) { t.workers = workers }
 
 // Top returns the current top complex (the input when no levels exist).
 func (t *Tower) Top() *sc.Complex {
@@ -505,9 +502,9 @@ func (t *Tower) LevelComplex(level int) *sc.Complex {
 	return t.Levels[level-1].Complex
 }
 
-// ExtendTables applies one round of the affine task, given by its
+// extend applies one round of the affine task, given by its
 // membership-table provider, to the top of the tower.
-func (t *Tower) ExtendTables(tables MemberTables) error {
+func (t *Tower) extend(tables MemberTables) error {
 	it, err := ApplyAffineTables(t.Top(), tables, t.workers)
 	if err != nil {
 		return err
@@ -568,11 +565,6 @@ func (t *Tower) RootCarrierAt(level int, v sc.VertexID) sc.Simplex {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.carrierAt(level, v)
-}
-
-// RootCarrierOf returns the root carrier of a top-level simplex.
-func (t *Tower) RootCarrierOf(s sc.Simplex) sc.Simplex {
-	return t.RootCarrierOfAt(t.Height(), s)
 }
 
 // RootCarrierOfAt returns the root carrier of a simplex of the

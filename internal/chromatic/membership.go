@@ -128,10 +128,9 @@ func (mt *MembershipTable) RowAny(i int) bool {
 }
 
 // MemberTables provides the precomputed membership table of any ground
-// set, accepted by ApplyAffineTables, Tower.ExtendTables and
-// CachedTower.EnsureHeightTables. affine.Task implements it natively;
-// TablesOf adapts a callback. Implementations must be safe for
-// concurrent use.
+// set, accepted by ApplyAffineTables and CachedTower.EnsureHeightTables.
+// affine.Task implements it natively; TablesOf adapts a callback.
+// Implementations must be safe for concurrent use.
 type MemberTables interface {
 	MembershipTable(ground procs.Set) *MembershipTable
 }

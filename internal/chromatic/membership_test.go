@@ -139,10 +139,9 @@ func TestMemoArenaReuse(t *testing.T) {
 // towers stay byte-identical.
 func TestArenaReuseAcrossTowerLevels(t *testing.T) {
 	build := func(workers int) *Tower {
-		tower := NewTower(standardBase(t, 3))
-		tower.SetWorkers(workers)
+		tower := newTower(standardBase(t, 3), workers)
 		for i := 0; i < 2; i++ {
-			if err := tower.ExtendTables(TablesOf(pseudoMember)); err != nil {
+			if err := tower.extend(TablesOf(pseudoMember)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -72,15 +72,13 @@ func TestApplyAffineParallelDeterminism(t *testing.T) {
 // vs parallel towers, including root carriers.
 func TestTowerParallelDeterminism(t *testing.T) {
 	base := standardBase(t, 3)
-	serial := NewTower(base)
-	serial.SetWorkers(1)
-	parallel := NewTower(base)
-	parallel.SetWorkers(8)
+	serial := newTower(base, 1)
+	parallel := newTower(base, 8)
 	for i := 0; i < 2; i++ {
-		if err := serial.ExtendTables(TablesOf(restrictedMember)); err != nil {
+		if err := serial.extend(TablesOf(restrictedMember)); err != nil {
 			t.Fatal(err)
 		}
-		if err := parallel.ExtendTables(TablesOf(restrictedMember)); err != nil {
+		if err := parallel.extend(TablesOf(restrictedMember)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -38,10 +38,6 @@ type CoordinatorOptions struct {
 	// Empty selects the system temp directory.
 	SpoolDir string
 
-	// MaxShardBytes caps one uploaded (compressed) shard. <= 0
-	// selects 1 GiB.
-	MaxShardBytes int64
-
 	// Auth, when non-nil, requires a valid API key on every /v1
 	// request. Probe endpoints stay open.
 	Auth *api.AuthConfig
@@ -61,6 +57,9 @@ type CoordinatorOptions struct {
 	// now overrides the clock (lease-expiry tests).
 	now func() time.Time
 }
+
+// maxShardBytes caps one uploaded (compressed) shard.
+const maxShardBytes = 1 << 30
 
 // unitStatus is the ledger state of one unit.
 type unitStatus int
@@ -194,9 +193,6 @@ func NewCoordinator(st *store.Store, camp Campaign, opts CoordinatorOptions) (*C
 	}
 	if opts.SpoolDir == "" {
 		opts.SpoolDir = os.TempDir()
-	}
-	if opts.MaxShardBytes <= 0 {
-		opts.MaxShardBytes = 1 << 30
 	}
 	if opts.now == nil {
 		opts.now = time.Now
@@ -649,15 +645,15 @@ func (c *Coordinator) spoolShard(body io.Reader) (string, int64, error) {
 	if err != nil {
 		return "", 0, err
 	}
-	n, err := io.Copy(f, io.LimitReader(body, c.opts.MaxShardBytes+1))
+	n, err := io.Copy(f, io.LimitReader(body, maxShardBytes+1))
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return f.Name(), n, err
 	}
-	if n > c.opts.MaxShardBytes {
-		return f.Name(), n, fmt.Errorf("shard exceeds the %d-byte cap", c.opts.MaxShardBytes)
+	if n > maxShardBytes {
+		return f.Name(), n, fmt.Errorf("shard exceeds the %d-byte cap", maxShardBytes)
 	}
 	return f.Name(), n, nil
 }

@@ -67,10 +67,6 @@ type WorkerOptions struct {
 	// with no overall timeout — shard uploads of long units are slow.
 	Client *http.Client
 
-	// MaxBackoff caps the transport-error retry backoff. <= 0
-	// selects 15s.
-	MaxBackoff time.Duration
-
 	// MaxOutage, when > 0, bounds how long the worker keeps retrying
 	// an unreachable coordinator before giving up. 0 retries forever —
 	// the durable-campaign default, where workers are expected to ride
@@ -147,6 +143,9 @@ type WorkerStats struct {
 	Entries uint64 // entries uploaded across them
 }
 
+// maxBackoff caps the transport-error retry backoff.
+const maxBackoff = 15 * time.Second
+
 var (
 	errStopped   = errors.New("fabric: worker stopped")
 	errLeaseLost = errors.New("fabric: lease lost")
@@ -166,9 +165,6 @@ func Work(opts WorkerOptions) (WorkerStats, error) {
 	}
 	if opts.Client == nil {
 		opts.Client = &http.Client{}
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = 15 * time.Second
 	}
 	if opts.Tracer == nil {
 		opts.Tracer = obs.DefaultTracer
@@ -205,7 +201,7 @@ func Work(opts WorkerOptions) (WorkerStats, error) {
 			if !w.sleep(backoff) {
 				return stats, nil
 			}
-			backoff = min(backoff*2, opts.MaxBackoff)
+			backoff = min(backoff*2, maxBackoff)
 			continue
 		}
 		backoff = time.Second
@@ -441,11 +437,7 @@ func (w *worker) runUnit(l *leaseInfo) (entries uint64, campaignDone bool, err e
 	}()
 
 	if w.cache == nil && c.Solve {
-		if w.opts.CacheBytes > 0 {
-			w.cache = chromatic.NewTowerCacheWithBudget(w.opts.CacheBytes)
-		} else {
-			w.cache = chromatic.NewTowerCache()
-		}
+		w.cache = chromatic.NewTowerCacheWithBudget(w.opts.CacheBytes)
 		if w.opts.Registry != nil {
 			// Ignore a duplicate registration: one Work per registry is
 			// the wiring, but a second call must degrade, not panic.
@@ -548,6 +540,6 @@ func (w *worker) upload(l *leaseInfo, path string, parent obs.SpanID) (done bool
 		if !w.sleep(backoff) {
 			return false, errStopped
 		}
-		backoff = min(backoff*2, w.opts.MaxBackoff)
+		backoff = min(backoff*2, maxBackoff)
 	}
 }

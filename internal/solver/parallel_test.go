@@ -66,10 +66,10 @@ func TestSolveParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestSolveAffineCacheReuse asserts that repeated SolveAffine calls
-// against the same model and input reuse the memoized R_A^ℓ(I): one
-// miss on first use, hits afterwards — including across distinct task
-// instances with hash-equal inputs.
+// TestSolveAffineCacheReuse asserts that repeated SolveAffineWith calls
+// on one cache against the same model and input reuse the memoized
+// R_A^ℓ(I): one miss on first use, hits afterwards — including across
+// distinct task instances with hash-equal inputs.
 func TestSolveAffineCacheReuse(t *testing.T) {
 	ra := buildRA(t, adversary.TResilient(3, 1))
 	cache := chromatic.NewTowerCache()

@@ -21,7 +21,7 @@ func TestSimplexAgreementSelfSolvable(t *testing.T) {
 		if err := task.Validate(); err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
-		res, err := SolveAffine(task, ra, 1)
+		res, err := SolveAffineWith(task, ra, 1, Options{})
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
@@ -50,7 +50,7 @@ func TestSimplexAgreementCrossModel(t *testing.T) {
 	// wait-free Chr² there is no 1-round map (wait-free cannot enforce
 	// the 1-OF contention ban — otherwise it would solve consensus).
 	wf := buildRA(t, adversary.WaitFree(3))
-	res, err := SolveAffine(task, wf, 1)
+	res, err := SolveAffineWith(task, wf, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

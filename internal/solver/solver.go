@@ -50,8 +50,8 @@ type Options struct {
 	// Cache, when non-nil, memoizes the iterated subdivisions L^ℓ(I)
 	// under CacheKey so repeated queries against the same model and
 	// input reuse them. CacheKey must uniquely determine the membership
-	// predicate (affine.Task.Signature provides it); an empty CacheKey
-	// disables caching.
+	// predicate (affine.Task.Signature provides it). A nil Cache or an
+	// empty CacheKey builds an unshared tower for this call alone.
 	Cache    *chromatic.TowerCache
 	CacheKey string
 
@@ -78,18 +78,12 @@ type Options struct {
 // ErrBadInput reports an invalid configuration.
 var ErrBadInput = errors.New("solver: invalid input")
 
-// SolveAffine is a convenience wrapper taking the affine task directly.
-// Iterated subdivisions are memoized in chromatic.DefaultTowerCache
-// under the task's signature, so repeated calls — across tasks (I, O, Δ)
-// sharing the same input and model — rebuild nothing.
-func SolveAffine(task *tasks.Task, l *affine.Task, maxRounds int) (*Result, error) {
-	return SolveAffineWith(task, l, maxRounds, Options{Cache: chromatic.DefaultTowerCache})
-}
-
-// SolveAffineWith is SolveAffine with explicit options. When opts.Cache
-// is set and opts.CacheKey is empty, the affine task's signature is
-// used as the key. The subdivision engine consumes the task natively as
-// a chromatic.MemberTables provider (the flat-array fast path).
+// SolveAffineWith is SolveTables taking the affine task directly. When
+// opts.Cache is set and opts.CacheKey is empty, the affine task's
+// signature is used as the key, so repeated calls on one cache — across
+// tasks (I, O, Δ) sharing the same input and model — rebuild nothing.
+// The subdivision engine consumes the task natively as a
+// chromatic.MemberTables provider (the flat-array fast path).
 func SolveAffineWith(task *tasks.Task, l *affine.Task, maxRounds int, opts Options) (*Result, error) {
 	if opts.Cache != nil && opts.CacheKey == "" {
 		opts.CacheKey = l.Signature()
@@ -120,27 +114,14 @@ func SolveTables(task *tasks.Task, tables chromatic.MemberTables, maxRounds int,
 	if taskLabel == "" {
 		taskLabel = task.Name
 	}
-	var (
-		tower  *chromatic.Tower
-		cached *chromatic.CachedTower
-	)
-	if opts.Cache != nil && opts.CacheKey != "" {
-		cached = opts.Cache.Acquire(opts.CacheKey, task.Input, workers)
-		// Unpin when the decision completes so byte-budgeted caches may
-		// evict the tower; it stays shared (and hot) until then.
-		defer cached.Release()
-		tower = cached.Tower()
-	} else {
-		tower = chromatic.NewTower(task.Input)
-		tower.SetWorkers(workers)
-	}
+	cached := acquireTower(opts, task.Input, workers)
+	// Unpin when the decision completes so byte-budgeted caches may
+	// evict the tower; it stays shared (and hot) until then.
+	defer cached.Release()
+	tower := cached.Tower()
 	res := &Result{}
 	for round := 1; round <= maxRounds; round++ {
-		if cached != nil {
-			if err := cached.EnsureHeightTablesTraced(tables, round, opts.TraceParent); err != nil {
-				return nil, err
-			}
-		} else if err := tower.ExtendTables(tables); err != nil {
+		if err := cached.EnsureHeightTablesTraced(tables, round, opts.TraceParent); err != nil {
 			return nil, err
 		}
 		res.ComplexSizes = append(res.ComplexSizes, tower.LevelComplex(round).NumVertices())
@@ -161,6 +142,16 @@ func SolveTables(task *tasks.Task, tables chromatic.MemberTables, maxRounds int,
 	}
 	solverDecisions.With("unsolvable", taskLabel).Add(1)
 	return res, nil
+}
+
+// acquireTower returns the decision's tower: shared through opts.Cache
+// under opts.CacheKey, or unshared when either is unset.
+func acquireTower(opts Options, input *sc.Complex, workers int) *chromatic.CachedTower {
+	cache := opts.Cache
+	if opts.CacheKey == "" {
+		cache = nil
+	}
+	return cache.Acquire(opts.CacheKey, input, workers)
 }
 
 // ErrSearchLimit is returned when the backtracking search exceeds its
@@ -464,23 +455,12 @@ func VerifyWitnessTables(task *tasks.Task, tables chromatic.MemberTables, rounds
 	if workers <= 0 {
 		workers = chromatic.DefaultWorkers()
 	}
-	var tower *chromatic.Tower
-	if opts.Cache != nil && opts.CacheKey != "" {
-		cached := opts.Cache.Acquire(opts.CacheKey, task.Input, workers)
-		defer cached.Release()
-		if err := cached.EnsureHeightTables(tables, rounds); err != nil {
-			return err
-		}
-		tower = cached.Tower()
-	} else {
-		tower = chromatic.NewTower(task.Input)
-		tower.SetWorkers(workers)
-		for i := 0; i < rounds; i++ {
-			if err := tower.ExtendTables(tables); err != nil {
-				return err
-			}
-		}
+	cached := acquireTower(opts, task.Input, workers)
+	defer cached.Release()
+	if err := cached.EnsureHeightTables(tables, rounds); err != nil {
+		return err
 	}
+	tower := cached.Tower()
 	top := tower.LevelComplex(rounds)
 	if err := m.VerifySimplicial(top, task.Output); err != nil {
 		return err

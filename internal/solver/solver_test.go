@@ -23,7 +23,7 @@ func buildRA(t *testing.T, a *adversary.Adversary) *affine.Task {
 
 func TestIdentitySolvableEverywhere(t *testing.T) {
 	ra := buildRA(t, adversary.KObstructionFree(3, 1))
-	res, err := SolveAffine(tasks.TrivialIdentity(3), ra, 1)
+	res, err := SolveAffineWith(tasks.TrivialIdentity(3), ra, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestFACTSetConsensus(t *testing.T) {
 		setcon := a.Setcon()
 		for k := 1; k <= 3; k++ {
 			task := tasks.KSetConsensus(3, k)
-			res, err := SolveAffine(task, ra, 1)
+			res, err := SolveAffineWith(task, ra, 1, Options{})
 			if errors.Is(err, ErrSearchLimit) {
 				// The only instance expected to exceed the bounded
 				// search is the wait-free k=2 Sperner obstruction: a
@@ -106,7 +106,7 @@ func TestConsensusImpossibleWaitFree(t *testing.T) {
 func TestConsensusSolvableUnder1OF(t *testing.T) {
 	ra := buildRA(t, adversary.KObstructionFree(3, 1))
 	task := tasks.Consensus(3)
-	res, err := SolveAffine(task, ra, 1)
+	res, err := SolveAffineWith(task, ra, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestConsensusSolvableUnder1OF(t *testing.T) {
 // witnessing ℓ — here ℓ=1 for 2-set consensus under 1-resilience.
 func TestCompactBoundedRounds(t *testing.T) {
 	ra := buildRA(t, adversary.TResilient(3, 1))
-	res, err := SolveAffine(tasks.KSetConsensus(3, 2), ra, 2)
+	res, err := SolveAffineWith(tasks.KSetConsensus(3, 2), ra, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

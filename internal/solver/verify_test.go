@@ -22,7 +22,7 @@ func TestVerifyWitnessParallelEquivalence(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			ra := buildRA(t, c.adv)
 			task := tasks.KSetConsensus(3, c.k)
-			res, err := SolveAffine(task, ra, 1)
+			res, err := SolveAffineWith(task, ra, 1, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +47,7 @@ func TestVerifyWitnessParallelEquivalence(t *testing.T) {
 func TestVerifyWitnessCorruptedMap(t *testing.T) {
 	ra := buildRA(t, adversary.TResilient(3, 1))
 	task := tasks.KSetConsensus(3, 2)
-	res, err := SolveAffine(task, ra, 1)
+	res, err := SolveAffineWith(task, ra, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -546,22 +546,3 @@ func (h *sourceHeap) Pop() any {
 	*h = old[:n-1]
 	return x
 }
-
-// admitKind commits the merged manifest to the entry kind of the first
-// entry and rejects mixing orbit-reduced and full-sweep entries.
-func admitKind(man *manifest, orbit bool, idx uint64) error {
-	kind := kindFull
-	if orbit {
-		kind = kindOrbit
-	}
-	switch man.EntryKind {
-	case kindUnknown:
-		man.EntryKind = kind
-		return nil
-	case kind:
-		return nil
-	default:
-		return fmt.Errorf("%w: store holds %s entries, shard entry %d is %s",
-			ErrKindMismatch, man.EntryKind, idx, kind)
-	}
-}

@@ -417,6 +417,50 @@ func TestMergeDisorderedStoredBlock(t *testing.T) {
 	})
 }
 
+// TestDisorderedStoredBlockReads: the reads refuse the disordered
+// stored block of TestMergeDisorderedStoredBlock too. The lookup probe
+// binary-searches a block's lines, so answering from an unsorted block
+// would report stored indices as missing, and the serving layer would
+// recompute and append a second copy of each.
+func TestDisorderedStoredBlockReads(t *testing.T) {
+	dir := t.TempDir()
+	sweep, entries := sweepShard(t, dir, 48)
+	lines := jsonLines(t, sweep)
+	swapped := slices.Clone(lines[16:32])
+	swapped[3], swapped[4] = swapped[4], swapped[3]
+	storeDir := filepath.Join(dir, "store")
+	handStore(t, storeDir, gzip.DefaultCompression, [][][]byte{lines[0:16], swapped, lines[32:48]})
+	st, err := Open(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	for _, e := range entries[16:32] {
+		if _, ok, err := st.Get(e.Index); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Get(%d): ok=%v err=%v, want ErrCorrupt", e.Index, ok, err)
+		}
+		if _, src, err := st.Lookup(e.Index, nil); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Lookup(%d): source %v err=%v, want ErrCorrupt", e.Index, src, err)
+		}
+	}
+	if err := st.LoadPresence(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("LoadPresence: %v, want ErrCorrupt", err)
+	}
+	if _, err := st.Summary(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Summary: %v, want ErrCorrupt", err)
+	}
+	if _, err := st.Range(0, 48, 0); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Range: %v, want ErrCorrupt", err)
+	}
+	// The sorted blocks around it still answer.
+	for _, e := range append(entries[:16:16], entries[32:48]...) {
+		if got, ok, err := st.Get(e.Index); err != nil || !ok || mustJSON(t, got) != mustJSON(t, &e) {
+			t.Fatalf("Get(%d): ok=%v err=%v", e.Index, ok, err)
+		}
+	}
+}
+
 // TestMergeBlankLines: a shard's blank lines are skipped in a loop, so
 // a shard of millions of them merges in constant stack. The stack
 // limit is lowered for the test so that one frame per blank line would

@@ -76,17 +76,17 @@ type ServerOptions struct {
 	// request.
 	AccessLog io.Writer
 
-	// MaxRangeLimit caps the limit parameter of /v1/entries pages.
-	// <= 0 selects 4096.
-	MaxRangeLimit int
-
-	// MaxBatch caps the indices of one bulk classify. <= 0 selects 1024.
-	MaxBatch int
-
 	// SkipPresence skips building the per-mount presence filters (a
 	// full block walk per store at startup).
 	SkipPresence bool
 }
+
+// Caps on client input: the indices of one bulk classify and the limit
+// parameter of one /v1/entries page.
+const (
+	maxBatch      = 1024
+	maxRangeLimit = 4096
+)
 
 // Server answers census queries for every store mounted in a registry.
 // Create with NewServer over a Registry (mount one store per n), and
@@ -140,22 +140,10 @@ func NewServer(reg *Registry, opts ServerOptions) (*Server, error) {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 1
 	}
-	if opts.MaxRangeLimit <= 0 {
-		opts.MaxRangeLimit = 4096
-	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 1024
-	}
-	var tcache *chromatic.TowerCache
-	if opts.CacheBytes > 0 {
-		tcache = chromatic.NewTowerCacheWithBudget(opts.CacheBytes)
-	} else {
-		tcache = chromatic.NewTowerCache()
-	}
 	s := &Server{
 		reg:     reg,
 		opts:    opts,
-		tcache:  tcache,
+		tcache:  chromatic.NewTowerCacheWithBudget(opts.CacheBytes),
 		m:       newMetrics(),
 		states:  make(map[mountKey]*mountState),
 		started: time.Now(),
@@ -346,8 +334,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			api.Error(w, r, http.StatusBadRequest, "empty indices")
 			return
 		}
-		if len(req.Indices) > s.opts.MaxBatch {
-			api.Error(w, r, http.StatusBadRequest, "%d indices exceed the batch cap %d", len(req.Indices), s.opts.MaxBatch)
+		if len(req.Indices) > maxBatch {
+			api.Error(w, r, http.StatusBadRequest, "%d indices exceed the batch cap %d", len(req.Indices), maxBatch)
 			return
 		}
 		domain := adversary.CensusSize(ms.mount.N())
@@ -508,8 +496,8 @@ func (s *Server) handleEntries(w http.ResponseWriter, r *http.Request) {
 			api.Error(w, r, http.StatusBadRequest, "bad limit %q", v)
 			return
 		}
-		if l > s.opts.MaxRangeLimit {
-			l = s.opts.MaxRangeLimit
+		if l > maxRangeLimit {
+			l = maxRangeLimit
 		}
 		limit = l
 	}

@@ -271,6 +271,28 @@ func TestServeConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Serial kset:k=K verdicts of the even indices the workers query.
+	// Index 127, whose k=2 search runs to the node limit, is odd.
+	verdict := func(solvable *bool, undecided bool) string {
+		if solvable == nil {
+			return fmt.Sprintf("solvable=nil undecided=%v", undecided)
+		}
+		return fmt.Sprintf("solvable=%v undecided=%v", *solvable, undecided)
+	}
+	var want [4][128]string
+	for k := 1; k <= 3; k++ {
+		x, err := census.NewExaminer(3, census.Options{Task: fmt.Sprintf("kset:k=%d", k)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idx := uint64(0); idx < 128; idx += 2 {
+			e, err := x.Examine(idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[k][idx] = verdict(e.Solvable, e.Undecided)
+		}
+	}
 	const workers = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -280,6 +302,29 @@ func TestServeConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 64; i++ {
 				idx := uint64((i*workers + w) * 2 % 128)
+				// Live decisions share the server's one TowerCache.
+				for k := 1; k <= 3; k++ {
+					var got solveResponse
+					resp, err := http.Get(fmt.Sprintf("%s/v1/solve?n=3&index=%d&ktask=%d", ts.URL, idx, k))
+					if err != nil {
+						errs <- err
+						return
+					}
+					if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+						resp.Body.Close()
+						errs <- err
+						return
+					}
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						errs <- fmt.Errorf("solve index %d k=%d: status %d", idx, k, resp.StatusCode)
+						return
+					}
+					if v := verdict(got.Solvable, got.Undecided); v != want[k][idx] {
+						errs <- fmt.Errorf("solve index %d k=%d: %s, serial %s", idx, k, v, want[k][idx])
+						return
+					}
+				}
 				var got classifyResponse
 				resp, err := http.Get(fmt.Sprintf("%s/v1/classify?n=3&index=%d", ts.URL, idx))
 				if err != nil {

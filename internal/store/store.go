@@ -32,6 +32,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -127,6 +128,7 @@ type manifest struct {
 // Store is an open census store. Safe for concurrent use.
 type Store struct {
 	dir string
+	n   int // the manifest's N, fixed for the store's life: read unlocked
 
 	mu      sync.Mutex
 	man     manifest
@@ -209,6 +211,7 @@ func Create(dir string, n int) (*Store, error) {
 	}
 	s := &Store{
 		dir: dir,
+		n:   n,
 		man: manifest{
 			Version:    formatVersion,
 			N:          n,
@@ -257,7 +260,7 @@ func Open(dir string) (*Store, error) {
 				ErrCorrupt, j, b.Offset, b.Size, b.Entries)
 		}
 	}
-	s := &Store{dir: dir, man: man}
+	s := &Store{dir: dir, n: man.N, man: man}
 	s.dropCacheLocked()
 	s.reindexLocked()
 	f, err := os.OpenFile(filepath.Join(dir, man.DataFile), os.O_CREATE|os.O_RDWR, 0o644)
@@ -318,7 +321,7 @@ func (s *Store) Close() error {
 
 // N returns the system size of the census the store holds.
 func (s *Store) N() int {
-	return s.man.N
+	return s.n
 }
 
 // Orbits reports whether the store holds orbit-reduced entries
@@ -505,9 +508,11 @@ func probe(entries []blockEntry, idx uint64) (int, error) {
 
 // blockEntriesLocked inflates block j through the LRU cache (keyed by
 // the block's data-file offset). A block's first inflation in a
-// generation parses every line, so no lookup is ever answered from a
-// block this process has not fully parsed; a re-inflation after an
-// eviction leaves the lines for the lookup probe. Callers hold s.mu.
+// generation parses every line and checks their order (checkBlock), so
+// no lookup is ever answered from a block this process has not fully
+// parsed: the probe's binary search needs sorted lines. A re-inflation
+// after an eviction leaves the lines for the lookup probe. Callers hold
+// s.mu.
 func (s *Store) blockEntriesLocked(j int) ([]blockEntry, error) {
 	key := s.man.Blocks[j].Offset
 	if entries, ok := s.blockCache[key]; ok {
@@ -520,6 +525,9 @@ func (s *Store) blockEntriesLocked(j int) ([]blockEntry, error) {
 	}
 	if _, ok := s.parsedBlocks[key]; !ok {
 		if err := indexAll(entries, key); err != nil {
+			return nil, err
+		}
+		if err := checkBlock(entries, s.man.Blocks[j]); err != nil {
 			return nil, err
 		}
 		s.parsedBlocks[key] = struct{}{}
@@ -722,7 +730,7 @@ func (s *Store) Lookup(idx uint64, orbits *adversary.Orbits) (*census.Entry, Loo
 	if err != nil || !ok {
 		return nil, LookupMiss, err
 	}
-	e, err := rehydrateWith(s.man.N, ce, idx, perm)
+	e, err := rehydrateWith(s.n, ce, idx, perm)
 	if err != nil {
 		return nil, LookupMiss, err
 	}
@@ -770,7 +778,10 @@ func rehydrateWith(n int, canonical *census.Entry, idx uint64, perm []procs.ID) 
 // live-computation fallback. The append is durable before the manifest
 // commits, an entry already stored under the same index is left alone
 // (reported as added=false; differing bytes are a conflict), and the
-// entry's kind (orbit-weighted or plain) must match the store's.
+// entry's kind (orbit-weighted or plain) and task must match the
+// store's. A rejected entry leaves the store as it was: the kind, task
+// and solve flag it would commit are admitted into a copy of the
+// manifest, which replaces the live one only with the new block.
 func (s *Store) PutNew(e *census.Entry) (added bool, err error) {
 	line, err := json.Marshal(e)
 	if err != nil {
@@ -784,14 +795,15 @@ func (s *Store) PutNew(e *census.Entry) (added bool, err error) {
 	if e.Index >= s.domainSizeLocked() {
 		return false, fmt.Errorf("store: index %d beyond the n=%d domain", e.Index, s.man.N)
 	}
-	if err := s.admitKindLocked(e.OrbitSize > 0); err != nil {
+	man := s.man
+	if err := admitKind(&man, e.OrbitSize > 0, e.Index); err != nil {
 		return false, err
 	}
-	if err := admitTask(&s.man, e.Task, e.Solved, e.Index); err != nil {
+	if err := admitTask(&man, e.Task, e.Solved, e.Index); err != nil {
 		return false, err
 	}
 	if e.Solved {
-		s.man.Solve = true
+		man.Solve = true
 	}
 	if prev, ok, err := s.getRawLocked(e.Index); err != nil {
 		return false, err
@@ -812,12 +824,15 @@ func (s *Store) PutNew(e *census.Entry) (added bool, err error) {
 	if err := s.data.Sync(); err != nil {
 		return false, err
 	}
-	// Insert sorted by First so binary search keeps working.
-	at := sort.Search(len(s.man.Blocks), func(j int) bool { return s.man.Blocks[j].First > meta.First })
-	s.man.Blocks = append(s.man.Blocks, blockMeta{})
-	copy(s.man.Blocks[at+1:], s.man.Blocks[at:])
-	s.man.Blocks[at] = meta
+	// Insert sorted by First so binary search keeps working. Clipped,
+	// the insert copies, so the live manifest keeps its blocks until
+	// the commit.
+	at := sort.Search(len(man.Blocks), func(j int) bool { return man.Blocks[j].First > meta.First })
+	man.Blocks = slices.Insert(slices.Clip(man.Blocks), at, meta)
+	old := s.man
+	s.man = man
 	if err := s.writeManifestLocked(); err != nil {
+		s.man = old
 		return false, err
 	}
 	s.reindexLocked()
@@ -827,22 +842,22 @@ func (s *Store) PutNew(e *census.Entry) (added bool, err error) {
 	return true, nil
 }
 
-// admitKindLocked commits the store to the entry kind on first write
-// and rejects mixing afterwards. Callers hold s.mu.
-func (s *Store) admitKindLocked(orbit bool) error {
+// admitKind commits the manifest to the entry kind of the first entry
+// and rejects mixing orbit-reduced and full-sweep entries afterwards.
+func admitKind(man *manifest, orbit bool, idx uint64) error {
 	kind := kindFull
 	if orbit {
 		kind = kindOrbit
 	}
-	switch s.man.EntryKind {
+	switch man.EntryKind {
 	case kindUnknown:
-		s.man.EntryKind = kind
+		man.EntryKind = kind
 		return nil
 	case kind:
 		return nil
 	default:
-		return fmt.Errorf("%w: store holds %s entries, got a %s one",
-			ErrKindMismatch, s.man.EntryKind, kind)
+		return fmt.Errorf("%w: store holds %s entries, entry %d is %s",
+			ErrKindMismatch, man.EntryKind, idx, kind)
 	}
 }
 

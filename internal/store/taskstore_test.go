@@ -121,6 +121,78 @@ func TestTaskKindGuard(t *testing.T) {
 	}
 }
 
+// TestPutNewRejectionCommitsNothing: an entry PutNew rejects leaves the
+// manifest's kind, task and solve flag as they were, in memory and on
+// disk, so it cannot turn away a valid entry after it.
+func TestPutNewRejectionCommitsNothing(t *testing.T) {
+	examine := func(opts census.Options, idx uint64) *census.Entry {
+		t.Helper()
+		x, err := census.NewExaminer(3, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := x.Examine(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &e
+	}
+	// The first n=3 index with a solve verdict (fair, setcon ≥ 1).
+	idx := uint64(0)
+	for !examine(census.Options{Solve: true}, idx).Solved {
+		idx++
+	}
+	kset := examine(census.Options{Solve: true}, idx)
+	orbitKset := kset.Clone()
+	orbitKset.OrbitSize = 1
+
+	// An orbit-weighted kset solve entry is refused by a store bound to
+	// another task: neither its kind nor anything else may stick.
+	dir := filepath.Join(t.TempDir(), "loop")
+	loopSt, err := Create(dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loopSt.Close()
+	if err := loopSt.BindTaskSpec("loop-agreement"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loopSt.PutNew(orbitKset); !errors.Is(err, ErrKindMismatch) {
+		t.Fatalf("PutNew of an orbit kset solve entry: err %v, want ErrKindMismatch", err)
+	}
+	if loopSt.Orbits() || loopSt.SolveMode() || loopSt.Task() != "loop-agreement" {
+		t.Fatalf("rejected entry committed: orbits=%v solve=%v task=%q",
+			loopSt.Orbits(), loopSt.SolveMode(), loopSt.Task())
+	}
+	loop := examine(census.Options{Task: "loop-agreement"}, idx)
+	if added, err := loopSt.PutNew(loop); err != nil || !added {
+		t.Fatalf("PutNew of a plain loop-agreement entry after the rejection: added=%v err=%v", added, err)
+	}
+	if m := readManifest(t, dir); m.EntryKind != kindFull || m.Task != "loop-agreement" || !m.Solve {
+		t.Fatalf("manifest after the valid entry: kind %q task %q solve %v", m.EntryKind, m.Task, m.Solve)
+	}
+
+	// A kset solve entry that conflicts with the stored classify entry
+	// of its index is refused before it could mark the store solve-mode.
+	plain, err := Create(filepath.Join(t.TempDir(), "plain"), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	if _, err := plain.PutNew(examine(census.Options{}, idx)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.PutNew(kset); !errors.Is(err, ErrConflict) {
+		t.Fatalf("PutNew of a kset entry over a classify one: err %v, want ErrConflict", err)
+	}
+	if plain.SolveMode() {
+		t.Fatal("a rejected solve entry marked the store solve-mode")
+	}
+	if err := plain.BindTaskSpec("loop-agreement"); err != nil {
+		t.Fatalf("binding a task after the rejected solve entry: %v", err)
+	}
+}
+
 // TestVerifyTaskStore: verify re-derives solve entries under the
 // manifest-recorded task — both a non-kset store (the task committed
 // by its own entries) and a kset store after BindTaskSpec.

@@ -37,9 +37,10 @@ import (
 // sides of the FACT equivalence — and exposes the paper's constructive
 // machinery.
 type Model struct {
-	adv *adversary.Adversary
-	u   *chromatic.Universe
-	ra  *affine.Task
+	adv   *adversary.Adversary
+	u     *chromatic.Universe
+	ra    *affine.Task
+	cache *chromatic.TowerCache // R_A^ℓ(I) shared by the model's decisions
 
 	workers int // solver/subdivision worker bound; 0 = all CPUs
 }
@@ -71,7 +72,7 @@ func NewModelWithUniverse(u *chromatic.Universe, a *adversary.Adversary) (*Model
 	if err != nil {
 		return nil, fmt.Errorf("model for %v: %w", a, err)
 	}
-	return &Model{adv: a, u: u, ra: ra}, nil
+	return &Model{adv: a, u: u, ra: ra, cache: chromatic.NewTowerCache()}, nil
 }
 
 // Adversary returns the underlying adversary.
@@ -103,25 +104,28 @@ func (m *Model) Alpha(p procs.Set) int { return m.adv.Alpha(p) }
 // Solve decides whether the task is solvable in this model by searching
 // for a chromatic simplicial map from R_A^ℓ(I) to the output complex,
 // ℓ = 1..maxRounds (Theorem 16). The iterated complexes R_A^ℓ(I) are
-// memoized process-wide, so repeated decisions against the same model
-// and input reuse them.
+// memoized in the model's own tower cache, so repeated decisions
+// against the same model and input, and VerifyWitness after them,
+// reuse them.
 func (m *Model) Solve(task *tasks.Task, maxRounds int) (*solver.Result, error) {
 	return m.SolveWith(task, maxRounds, solver.Options{})
 }
 
 // SolveWith is Solve with explicit engine options. Unset options inherit
-// the model's defaults (SetWorkers, the process-wide tower cache).
+// the model's defaults: SetWorkers, and the model's tower cache when
+// opts.Cache is nil. Pass a cache to share towers beyond this model or
+// to read its statistics.
 func (m *Model) SolveWith(task *tasks.Task, maxRounds int, opts solver.Options) (*solver.Result, error) {
 	if opts.Workers == 0 {
 		opts.Workers = m.workers
 	}
 	if opts.Cache == nil {
-		opts.Cache = chromatic.DefaultTowerCache
+		opts.Cache = m.cache
 	}
 	// CacheKey is left for SolveAffineWith to default to the affine
 	// task's signature: the tower depends only on the membership
-	// predicate, and this keeps Model.Solve and direct
-	// solver.SolveAffine calls sharing one cache entry.
+	// predicate, so every task decided against this model, and
+	// VerifyWitness, share one cache entry.
 	return solver.SolveAffineWith(task, m.ra, maxRounds, opts)
 }
 
@@ -134,11 +138,11 @@ func (m *Model) SolveKSetConsensus(k, maxRounds int) (*solver.Result, error) {
 // VerifyWitness independently re-validates a witness map returned by
 // Solve: simplicial, chromatic, and carried by Δ on every simplex of
 // R_A^rounds(I). The sweep runs on the model's worker pool (SetWorkers)
-// and reuses the process-wide tower cache.
+// and reuses the tower Solve built in the model's tower cache.
 func (m *Model) VerifyWitness(task *tasks.Task, rounds int, witness sc.Map) error {
 	return solver.VerifyWitnessTables(task, m.ra, rounds, witness, solver.Options{
 		Workers:  m.workers,
-		Cache:    chromatic.DefaultTowerCache,
+		Cache:    m.cache,
 		CacheKey: m.ra.Signature(),
 	})
 }
