@@ -196,3 +196,45 @@ func BenchmarkCensusStoreMerge(b *testing.B) {
 	}
 	b.ReportMetric(float64(last)/float64(first), "last/first")
 }
+
+// BenchmarkServeLoadPresence measures mounting a store as the serving
+// layer does: Open plus LoadPresence over an n=5 store of 2^15 entries
+// in 256-entry blocks, which reads, checks and parses every line of
+// its 128 blocks.
+func BenchmarkServeLoadPresence(b *testing.B) {
+	dir := b.TempDir()
+	shard := filepath.Join(dir, "shard.jsonl")
+	sink, err := census.NewJSONLSink(shard)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := census.SweepRange(5, census.Options{}, sink, 0, 1<<15); err != nil {
+		b.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		b.Fatal(err)
+	}
+	storeDir := filepath.Join(dir, "store")
+	st, err := Create(storeDir, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := st.Merge([]string{shard}, MergeOptions{BlockEntries: 256}); err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := Open(storeDir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := st.LoadPresence(); err != nil {
+			b.Fatal(err)
+		}
+		st.Close()
+	}
+}

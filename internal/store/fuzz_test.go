@@ -13,6 +13,7 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -284,5 +285,109 @@ func FuzzBlockDecode(f *testing.F) {
 		_, err = st.Summary()
 		checkCorrupt(t, "Summary", err)
 		exerciseStore(t, st, shard)
+	})
+}
+
+// lineSeeds returns real census lines of every kind a store holds —
+// full, orbit, kset solve, task-stamped, and one PutNew wrote — each
+// of which the line scan must answer itself.
+func lineSeeds(f *testing.F) [][]byte {
+	f.Helper()
+	var lines [][]byte
+	add := func(e *census.Entry) {
+		b, err := json.Marshal(e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		lines = append(lines, b)
+	}
+	for _, opts := range []census.Options{{}, {Solve: true}, {Task: "consensus"}} {
+		ex, err := census.NewExaminer(3, opts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, idx := range []uint64{0, 37, 100, 127} {
+			e, err := ex.Examine(idx)
+			if err != nil {
+				f.Fatal(err)
+			}
+			add(&e)
+		}
+	}
+	col := &census.Collector{}
+	if _, err := census.Stream(3, census.Options{Workers: 1, Orbits: true, MaxIndices: 40}, col); err != nil {
+		f.Fatal(err)
+	}
+	for i := range col.Entries {
+		add(&col.Entries[i])
+	}
+	st, err := Create(filepath.Join(f.TempDir(), "store"), 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.PutNew(&col.Entries[1]); err != nil {
+		f.Fatal(err)
+	}
+	st.mu.Lock()
+	line, ok, err := st.getRawLocked(col.Entries[1].Index)
+	st.mu.Unlock()
+	if err != nil || !ok {
+		f.Fatalf("PutNew line: ok=%v err=%v", ok, err)
+	}
+	return append(lines, line)
+}
+
+// FuzzLineScan holds the line scan to json.Unmarshal: for any bytes,
+// entryIndex answers what unmarshaling into struct{Index uint64}
+// answers and the merge probe what unmarshaling into lineProbe
+// answers, in value and in error text.
+func FuzzLineScan(f *testing.F) {
+	for _, line := range lineSeeds(f) {
+		var p lineProbe
+		if !scanLine(line, &p, true) {
+			f.Fatalf("the line scan declined a real census line: %s", line)
+		}
+		f.Add(line)
+	}
+	for _, s := range []string{
+		// Keys Unmarshal matches to a field, or may: case-folded,
+		// escaped, long s and Kelvin sign.
+		`{"INDEX":5,"Orbit_Size":2,"SOLVED":true,"Task":"x"}`,
+		`{"index":7}`, `{"index":1,"task":"y"}`, `{"index":1,"task":"a\"b"}`,
+		"{\"index\":2,\"ta\u017fk\":\"z\",\"\u017folved\":true}", "{\"index\":3,\"tas\u212a\":\"k\"}",
+		`{"index":4,"task":"é"}`, `{"ind\u0065x":5}`, `{"index":4,"task":"\u0041"}`,
+		// Duplicates: the last wins, null keeps the field, a mistyped
+		// one fails.
+		`{"index":1,"index":2}`, `{"index":1,"index":null}`, `{"index":1,"index":true}`,
+		`{"solved":true,"solved":null}`, `{"solved":true,"solved":false}`, `{"orbit_size":3,"orbit_size":"3"}`,
+		`{"task":"a","task":null}`, `{"task":"a","task":1}`,
+		// Literals a uint64 field refuses.
+		`{"index":null}`, `{"index":-1}`, `{"index":1.0}`, `{"index":1e3}`, `{"index":18446744073709551616}`,
+		`{"index":18446744073709551615}`, `{"index":"5"}`, `{"index":[5]}`, `{"solved":1}`,
+		// Nesting, spacing and trailing bytes.
+		`{"x":{"index":5},"index":2}`, `{"x":["}","{",{"index":9}],"index":2}`, `{"index":{"index":5}}`,
+		` { "index" : 5 , "solved" : true } `, "{\"index\":5}\n", `{"index":5} x`, `{"index":5}{}`,
+		`{}`, `{"index":5`,
+		// Top-level values other than an object.
+		`[1,2]`, `"index"`, `null`, `5`, ``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		idx, err := entryIndex(line)
+		var e struct {
+			Index uint64 `json:"index"`
+		}
+		werr := json.Unmarshal(line, &e)
+		if fmt.Sprint(err) != fmt.Sprint(werr) || (werr == nil && idx != e.Index) {
+			t.Fatalf("entryIndex(%q) = %d, %v; json.Unmarshal: %d, %v", line, idx, err, e.Index, werr)
+		}
+		p, err := probeLine(line)
+		var want lineProbe
+		werr = json.Unmarshal(line, &want)
+		if fmt.Sprint(err) != fmt.Sprint(werr) || (werr == nil && p != want) {
+			t.Fatalf("probeLine(%q) = %+v, %v; json.Unmarshal: %+v, %v", line, p, err, want, werr)
+		}
 	})
 }

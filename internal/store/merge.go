@@ -120,12 +120,24 @@ func (s *Store) Merge(shardPaths []string, opts MergeOptions) (MergeStats, error
 			os.Remove(filepath.Join(s.dir, dataFileName(gen)))
 		}
 	}()
-	pool := newBlockPool(s.data, out)
+	// The pool lands each block at the next offset of the new
+	// generation, the bytes a serial merge writes.
+	var written []blockMeta
+	var off int64
+	pool := newBlockPool(s.data, func(job *blockJob) error {
+		if _, err := out.WriteAt(job.comp, off); err != nil {
+			return err
+		}
+		job.meta.Offset = off
+		off += job.meta.Size
+		written = append(written, job.meta)
+		return nil
+	})
 	defer pool.wait()
 	// fail reports the first failure in stream order: a block already
 	// handed to the pool precedes whatever the merge loop hit.
 	fail := func(err error) (MergeStats, error) {
-		if _, perr := pool.wait(); perr != nil {
+		if perr := pool.wait(); perr != nil {
 			err = perr
 		}
 		return MergeStats{}, err
@@ -133,7 +145,7 @@ func (s *Store) Merge(shardPaths []string, opts MergeOptions) (MergeStats, error
 
 	var stats MergeStats
 	for _, b := range blocks[:carried] {
-		pool.submit(&blockJob{carry: true, meta: b})
+		pool.submit(&blockJob{check: true, meta: b})
 		stats.Total += uint64(b.Entries)
 	}
 	for j := carried; j < len(blocks); j++ {
@@ -207,8 +219,7 @@ func (s *Store) Merge(shardPaths []string, opts MergeOptions) (MergeStats, error
 		}
 	}
 	flush()
-	written, err := pool.wait()
-	if err != nil {
+	if err := pool.wait(); err != nil {
 		return MergeStats{}, err
 	}
 	newMan.Blocks = written
@@ -264,9 +275,10 @@ func carriedPrefix(blocks []blockMeta, blockEntries int, floor uint64) int {
 }
 
 // load reads one stored block from f through c and runs every check a
-// merge applies to a stored block: decode's (CRC, gzip framing, entry
-// count), an index parsed from every line, and checkBlock's. It returns
-// the block's compressed bytes and its entries (see decode for own).
+// merge or LoadPresence applies to a stored block: decode's (CRC, gzip
+// framing, entry count), an index parsed from every line, and
+// checkBlock's. It returns the block's compressed bytes and its
+// entries (see decode for own).
 func (c *codec) load(f *os.File, b blockMeta, own bool) ([]byte, []blockEntry, error) {
 	comp, err := readBlockBytes(f, b)
 	if err != nil {
@@ -299,50 +311,54 @@ func checkBlock(entries []blockEntry, b blockMeta) error {
 	return nil
 }
 
-// blockJob is one block of the new generation: a stored block carried
-// over (carry set; meta is its row) or lines cut by the merge (raw,
-// meta without size and CRC). Its worker fills comp and err and closes
-// done; the writer then sets meta's offset.
+// blockJob is one block for the pool: a stored block to read and
+// check (check set; meta is its row) or lines cut by a merge (raw, meta
+// without size and CRC). Its worker fills comp, entries and err and
+// closes done; the pool's landing step then takes it.
 type blockJob struct {
-	carry bool
+	check bool
 	meta  blockMeta
 	raw   []byte
 	comp  []byte
-	err   error
-	done  chan struct{}
-}
-
-// blockPool compresses a merge's cut blocks and checks its carried ones
-// on runtime.GOMAXPROCS(0) workers, each with its own codec, while one
-// writer lands finished blocks in submission order at sequential
-// offsets of the new generation.
-type blockPool struct {
-	src, out *os.File // the live generation's data file; the new one
-	jobs     chan *blockJob
-	order    chan *blockJob
-	failed   atomic.Bool // set by the writer at the first failure
-	workers  sync.WaitGroup
-	landed   chan struct{} // closed when the writer is done
-	closed   bool
-
-	// Owned by the writer until landed is closed.
-	written []blockMeta
-	off     int64
+	// entries are a checked block's lines. Their bytes alias the
+	// worker's codec and are overwritten by its next job; only the
+	// indices stay valid.
+	entries []blockEntry
 	err     error
+	done    chan struct{}
 }
 
-// newBlockPool starts the workers and the writer; wait stops them.
-// The merge holds the store's lock across submit's sends: the pool's
+// blockPool checks stored blocks and compresses cut ones on
+// runtime.GOMAXPROCS(0) workers, each with its own codec, while one
+// goroutine lands the finished blocks in submission order through the
+// caller's step: a merge writes each at the next offset of the new
+// generation, LoadPresence adds its indices to the filter.
+type blockPool struct {
+	src     *os.File // the live generation's data file
+	land    func(*blockJob) error
+	jobs    chan *blockJob
+	order   chan *blockJob
+	failed  atomic.Bool // set by the lander at the first failure
+	workers sync.WaitGroup
+	landed  chan struct{} // closed when the lander is done
+	closed  bool
+	err     error // owned by the lander until landed is closed
+}
+
+// newBlockPool starts the workers and the lander; wait stops them.
+// land runs on the lander, once per block in submission order until
+// one fails; what it writes belongs to the lander until wait returns.
+// The caller holds the store's lock across submit's sends: the pool's
 // goroutines never take it.
-func newBlockPool(src, out *os.File) *blockPool {
+func newBlockPool(src *os.File, land func(*blockJob) error) *blockPool {
 	w := runtime.GOMAXPROCS(0)
 	p := &blockPool{
-		src: src,
-		out: out,
-		// One queued block per worker keeps each busy while the merge
-		// cuts the next; the writer may trail the merge by a few blocks
-		// per worker before submit blocks. That bounds the blocks in
-		// flight, and with them the merge's memory.
+		src:  src,
+		land: land,
+		// One queued block per worker keeps each busy while the caller
+		// prepares the next; the lander may trail by a few blocks per
+		// worker before submit blocks. That bounds the blocks in
+		// flight, and with them the pool's memory.
 		jobs:   make(chan *blockJob, w),
 		order:  make(chan *blockJob, 4*w),
 		landed: make(chan struct{}),
@@ -351,7 +367,7 @@ func newBlockPool(src, out *os.File) *blockPool {
 	for range w {
 		go p.work()
 	}
-	go p.write()
+	go p.landAll()
 	return p
 }
 
@@ -363,9 +379,9 @@ func (p *blockPool) submit(job *blockJob) {
 }
 
 // wait closes the pool to new blocks and waits for its goroutines. It
-// returns the rows of the blocks written, in order, or the first
-// failure in submission order. Later calls return the same.
-func (p *blockPool) wait() ([]blockMeta, error) {
+// returns the first failure in submission order. Later calls return
+// the same.
+func (p *blockPool) wait() error {
 	if !p.closed {
 		p.closed = true
 		close(p.jobs)
@@ -373,7 +389,7 @@ func (p *blockPool) wait() ([]blockMeta, error) {
 		p.workers.Wait()
 		<-p.landed
 	}
-	return p.written, p.err
+	return p.err
 }
 
 func (p *blockPool) work() {
@@ -383,8 +399,8 @@ func (p *blockPool) work() {
 		switch {
 		case p.failed.Load():
 			// Nothing after the first failure lands.
-		case job.carry:
-			job.comp, _, job.err = c.load(p.src, job.meta, false)
+		case job.check:
+			job.comp, job.entries, job.err = c.load(p.src, job.meta, false)
 		default:
 			var comp []byte
 			comp, job.meta, job.err = c.encode(job.raw, job.meta.Entries, job.meta.First, job.meta.Last)
@@ -394,7 +410,7 @@ func (p *blockPool) work() {
 	}
 }
 
-func (p *blockPool) write() {
+func (p *blockPool) landAll() {
 	defer close(p.landed)
 	for job := range p.order {
 		<-job.done
@@ -402,16 +418,12 @@ func (p *blockPool) write() {
 			continue
 		}
 		if job.err == nil {
-			_, job.err = p.out.WriteAt(job.comp, p.off)
+			job.err = p.land(job)
 		}
 		if job.err != nil {
 			p.err = job.err
 			p.failed.Store(true)
-			continue
 		}
-		job.meta.Offset = p.off
-		p.off += job.meta.Size
-		p.written = append(p.written, job.meta)
 	}
 }
 
@@ -446,6 +458,18 @@ type lineProbe struct {
 	Task      string `json:"task"`
 }
 
+// probeLine parses a shard line's lineProbe: by scanLine when it can,
+// otherwise, and for every error, by json.Unmarshal.
+func probeLine(line []byte) (lineProbe, error) {
+	var p lineProbe
+	if scanLine(line, &p, true) {
+		return p, nil
+	}
+	p = lineProbe{}
+	err := json.Unmarshal(line, &p)
+	return p, err
+}
+
 // next advances to the following entry; false means exhausted. A
 // shard source's line is valid until the next call.
 func (m *mergeSource) next() (bool, error) {
@@ -475,8 +499,8 @@ func (m *mergeSource) next() (bool, error) {
 		}
 		line = m.scan.Bytes()
 	}
-	var probe lineProbe
-	if err := json.Unmarshal(line, &probe); err != nil {
+	probe, err := probeLine(line)
+	if err != nil {
 		return false, fmt.Errorf("store: shard %s: %w", m.name, err)
 	}
 	if m.started && probe.Index < m.idx {

@@ -9,6 +9,7 @@ package store
 // transparent to lookup semantics and only trims work on misses.
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 )
@@ -105,31 +106,46 @@ func (p *presenceFilter) mayContain(idx uint64) bool {
 	return true
 }
 
-// LoadPresence builds (or rebuilds) the store's presence filter by one
-// walk over every block. Lookups afterwards answer definite misses
-// without touching the sparse index or inflating blocks; PutNew keeps
-// the filter current. The serving layer loads one per mounted store.
+// LoadPresence builds (or rebuilds) the store's presence filter from
+// every block. Each block is read and checked as its first load in a
+// generation is (codec.load) on the merge's worker pool, and lands in
+// manifest order, so the error returned is the first in that order.
+// Lookups afterwards answer definite misses without touching the
+// sparse index or inflating blocks; PutNew keeps the filter current.
+// The serving layer loads one per mounted store.
 func (s *Store) LoadPresence() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.data == nil {
+		return errors.New("store: closed")
+	}
 	var entries uint64
 	for _, b := range s.man.Blocks {
 		entries += uint64(b.Entries)
 	}
-	domain := s.domainSizeLocked()
+	n, domain := s.man.N, s.domainSizeLocked()
 	p := newPresenceFilter(domain, entries)
-	for j := range s.man.Blocks {
-		blk, err := s.parsedBlockLocked(j)
-		if err != nil {
-			return err
-		}
-		for _, be := range blk {
+	// The lander marks blocks parsed while this goroutine holds mu and
+	// waits for it, so nothing else reads parsedBlocks meanwhile.
+	pool := newBlockPool(s.data, func(job *blockJob) error {
+		s.parsedBlocks[job.meta.Offset] = struct{}{}
+		for _, be := range job.entries {
 			if be.idx >= domain {
 				return fmt.Errorf("%w: block at %d: entry index %d beyond the n=%d domain",
-					ErrCorrupt, s.man.Blocks[j].Offset, be.idx, s.man.N)
+					ErrCorrupt, job.meta.Offset, be.idx, n)
 			}
 			p.add(be.idx)
 		}
+		return nil
+	})
+	for _, b := range s.man.Blocks {
+		if pool.failed.Load() {
+			break
+		}
+		pool.submit(&blockJob{check: true, meta: b})
+	}
+	if err := pool.wait(); err != nil {
+		return err
 	}
 	s.presence = p
 	return nil

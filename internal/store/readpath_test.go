@@ -18,8 +18,12 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/census"
@@ -135,6 +139,118 @@ func TestOutOfDomainIndices(t *testing.T) {
 	if err := bad.LoadPresence(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("LoadPresence over an index past the domain: %v, want ErrCorrupt", err)
 	}
+}
+
+// TestLoadPresencePool: LoadPresence checks blocks on the merge's
+// worker pool and lands them in manifest order, so with later blocks
+// in flight it returns the error of the first failing block: an index
+// past the domain in block k wins over a broken CRC in block k+3, and
+// the broken CRC alone is that block's corruption. A clean load marks
+// every block parsed and leaves no goroutine behind, while Gets from
+// four goroutines run alongside it and answer.
+func TestLoadPresencePool(t *testing.T) {
+	const blockEntries, k = 8, 40
+	dir := t.TempDir()
+	sweep, entries := sweepShard(t, dir, 640)
+	lines := jsonLines(t, sweep)
+	var clean [][][]byte
+	for lo := 0; lo < len(lines); lo += blockEntries {
+		clean = append(clean, lines[lo:lo+blockEntries])
+	}
+	beyond := entries[(k+1)*blockEntries-1]
+	beyond.Index = adversary.CensusSize(4) + 5
+	outside := slices.Clone(clean)
+	outside[k] = slices.Clone(clean[k])
+	outside[k][blockEntries-1] = []byte(mustJSON(t, &beyond))
+
+	// load writes the blocks, breaks the manifest CRC of block broken
+	// (if any), and runs fn alongside LoadPresence on the opened store.
+	// Every goroutine the load started must be gone when it returns.
+	load := func(t *testing.T, groups [][][]byte, broken int, fn func(st *Store)) (*Store, []blockMeta, error) {
+		t.Helper()
+		storeDir := filepath.Join(t.TempDir(), "store")
+		rows := handStore(t, storeDir, gzip.DefaultCompression, groups)
+		if len(rows) < 64 {
+			t.Fatalf("%d blocks, want at least 64", len(rows))
+		}
+		if broken >= 0 {
+			m := readManifest(t, storeDir)
+			m.Blocks[broken].CRC ^= 1
+			writeManifest(t, storeDir, m)
+		}
+		st, err := Open(storeDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		goroutines := runtime.NumGoroutine()
+		var wg sync.WaitGroup
+		if fn != nil {
+			for range 4 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					fn(st)
+				}()
+			}
+		}
+		err = st.LoadPresence()
+		wg.Wait()
+		// Exited goroutines leave the count a moment after they signal.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after LoadPresence, %d before", runtime.NumGoroutine(), goroutines)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return st, rows, err
+	}
+
+	t.Run("first failure in manifest order", func(t *testing.T) {
+		_, rows, err := load(t, outside, k+3, nil)
+		want := fmt.Sprintf("%v: block at %d: entry index %d beyond the n=4 domain", ErrCorrupt, rows[k].Offset, beyond.Index)
+		if !errors.Is(err, ErrCorrupt) || err.Error() != want {
+			t.Fatalf("LoadPresence: %v, want %q", err, want)
+		}
+	})
+
+	t.Run("broken CRC", func(t *testing.T) {
+		_, rows, err := load(t, clean, k+3, nil)
+		want := fmt.Sprintf("%v: block at %d: crc ", ErrCorrupt, rows[k+3].Offset)
+		if !errors.Is(err, ErrCorrupt) || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("LoadPresence: %v, want %q...", err, want)
+		}
+	})
+
+	t.Run("clean", func(t *testing.T) {
+		st, rows, err := load(t, clean, -1, func(st *Store) {
+			for i := range entries {
+				e, ok, err := st.Get(entries[i].Index)
+				if err != nil || !ok {
+					t.Errorf("Get(%d): ok=%v err=%v", entries[i].Index, ok, err)
+					return
+				}
+				if got, err := json.Marshal(e); err != nil || !bytes.Equal(got, lines[i]) {
+					t.Errorf("Get(%d) = %s, %v; want %s", entries[i].Index, got, err, lines[i])
+					return
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.mu.Lock()
+		for _, b := range rows {
+			if _, ok := st.parsedBlocks[b.Offset]; !ok {
+				t.Errorf("block at %d not marked parsed", b.Offset)
+			}
+		}
+		st.mu.Unlock()
+		if _, ok, err := st.Get(adversary.CensusSize(4) - 1); ok || err != nil || st.PresenceSkips() == 0 {
+			t.Fatalf("Get past the stored range: ok=%v err=%v, %d presence skips", ok, err, st.PresenceSkips())
+		}
+		checkProbeParses(t, st, blockEntries)
+	})
 }
 
 // TestColdLookupOracle answers every index of the n=4 domain twice from

@@ -88,6 +88,19 @@ const (
 	maxRangeLimit = 4096
 )
 
+// maxSolvers caps the /v1/solve examiners a server keeps. Clients pick
+// the key, so past the cap a request builds an examiner for itself
+// alone.
+const maxSolvers = 64
+
+// solveKey identifies a /v1/solve examiner: system size, canonical task
+// spec and round bound.
+type solveKey struct {
+	n      int
+	spec   string
+	rounds int
+}
+
 // Server answers census queries for every store mounted in a registry.
 // Create with NewServer over a Registry (mount one store per n), and
 // mount Handler on any mux or http.Server.
@@ -100,6 +113,11 @@ type Server struct {
 
 	mu     sync.RWMutex
 	states map[mountKey]*mountState
+
+	// solvers holds the /v1/solve examiners built so far, at most
+	// maxSolvers of them.
+	solversMu sync.Mutex
+	solvers   map[solveKey]*census.Examiner
 
 	started time.Time
 
@@ -146,6 +164,7 @@ func NewServer(reg *Registry, opts ServerOptions) (*Server, error) {
 		tcache:  chromatic.NewTowerCacheWithBudget(opts.CacheBytes),
 		m:       newMetrics(),
 		states:  make(map[mountKey]*mountState),
+		solvers: make(map[solveKey]*census.Examiner),
 		started: time.Now(),
 	}
 	s.mw = api.NewMiddleware(api.MiddlewareOptions{
@@ -652,10 +671,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// Always a live decision over the shared universe and tower cache:
 	// store entries only memoize the census' own solve configuration,
 	// while /v1/solve answers for any (task, rounds).
-	ex, err := census.NewExaminer(n, census.Options{
-		Solve: true, Task: spec.String(), MaxRounds: maxRounds,
-		Universe: ms.universe, Cache: s.tcache,
-	})
+	ex, err := s.solver(ms, spec.String(), maxRounds)
 	if err != nil {
 		api.Error(w, r, http.StatusInternalServerError, "solve: %v", err)
 		return
@@ -683,6 +699,37 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		resp.Task = spec.String()
 	}
 	api.WriteJSON(w, resp)
+}
+
+// solver returns the examiner deciding the canonical spec at the
+// mount's n within rounds, built on the first request for that key
+// and kept while fewer than maxSolvers are. Building a task's examiner
+// builds the task once (simplex agreement takes tens of milliseconds),
+// so it is done outside the lock.
+func (s *Server) solver(ms *mountState, spec string, rounds int) (*census.Examiner, error) {
+	key := solveKey{n: ms.mount.N(), spec: spec, rounds: rounds}
+	s.solversMu.Lock()
+	ex, ok := s.solvers[key]
+	s.solversMu.Unlock()
+	if ok {
+		return ex, nil
+	}
+	ex, err := census.NewExaminer(key.n, census.Options{
+		Solve: true, Task: spec, MaxRounds: rounds,
+		Universe: ms.universe, Cache: s.tcache,
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.solversMu.Lock()
+	defer s.solversMu.Unlock()
+	if kept, ok := s.solvers[key]; ok {
+		return kept, nil
+	}
+	if len(s.solvers) < maxSolvers {
+		s.solvers[key] = ex
+	}
+	return ex, nil
 }
 
 // storeInfo is one mount in the /v1/stores listing.

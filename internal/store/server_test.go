@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/census"
+	"repro/internal/tasks"
 )
 
 // newTestServer builds a server over a store merged from one shard.
@@ -191,6 +194,47 @@ func TestServeSolve(t *testing.T) {
 	}
 	if got.Solvable == nil || !*got.Solvable {
 		t.Fatalf("solve response %+v: want solvable", got)
+	}
+}
+
+// TestServeSolveExaminerKept: /v1/solve builds one examiner per (n,
+// task, rounds), so a repeated request reuses the first one's, and
+// both answer byte-identically.
+func TestServeSolveExaminerKept(t *testing.T) {
+	srv, _ := newTestServer(t, 3, census.Options{Workers: 1}, ServerOptions{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	spec, err := tasks.ParseSpec("simplex-agreement")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := solveKey{n: 3, spec: spec.String(), rounds: 1}
+	var bodies [2][]byte
+	var kept *census.Examiner
+	for i := range bodies {
+		resp, err := http.Get(ts.URL + "/v1/solve?n=3&index=100&task=simplex-agreement")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i], err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: HTTP %d, %v: %s", i, resp.StatusCode, err, bodies[i])
+		}
+		srv.solversMu.Lock()
+		ex, built := srv.solvers[key], len(srv.solvers)
+		srv.solversMu.Unlock()
+		if ex == nil || built != 1 || (kept != nil && ex != kept) {
+			t.Fatalf("after request %d: %d examiners kept, key's %p, first %p", i, built, ex, kept)
+		}
+		kept = ex
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("repeated solve answered differently:\n%s\n%s", bodies[0], bodies[1])
+	}
+	var got solveResponse
+	if err := json.Unmarshal(bodies[0], &got); err != nil || !got.Solved || got.Task != spec.String() {
+		t.Fatalf("solve response %s (%v): want a decided %s", bodies[0], err, spec)
 	}
 }
 

@@ -34,8 +34,10 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"repro/internal/adversary"
 	"repro/internal/census"
@@ -543,8 +545,8 @@ func (s *Store) blockEntriesLocked(j int) ([]blockEntry, error) {
 }
 
 // parsedBlockLocked is blockEntriesLocked with every line parsed: the
-// whole-block walkers (LoadPresence, Range, Summary) check every line
-// of every block they read. Callers hold s.mu.
+// whole-block walkers (Range, Summary) check every line of every block
+// they read. Callers hold s.mu.
 func (s *Store) parsedBlockLocked(j int) ([]blockEntry, error) {
 	entries, err := s.blockEntriesLocked(j)
 	if err != nil {
@@ -682,6 +684,10 @@ func (c *codec) encode(raw []byte, entries int, first, last uint64) ([]byte, blo
 
 // entryIndex extracts the enumeration index from a census JSON line.
 func entryIndex(line []byte) (uint64, error) {
+	var p lineProbe
+	if scanLine(line, &p, false) {
+		return p.Index, nil
+	}
 	var e struct {
 		Index uint64 `json:"index"`
 	}
@@ -689,6 +695,153 @@ func entryIndex(line []byte) (uint64, error) {
 		return 0, err
 	}
 	return e.Index, nil
+}
+
+// scanLine reads a census line's index into p, and with probe set
+// every lineProbe field, without json.Unmarshal's reflection. It
+// answers only lines it reads exactly as json.Unmarshal would: a valid
+// JSON object (json.Valid, the check Unmarshal runs first) whose keys
+// are ASCII without escapes and whose wanted fields hold plain
+// literals — digits strconv.ParseUint takes for the counts, true or
+// false for solved, an ASCII string without escapes for task, or null,
+// which leaves the field as it was. Keys match their field ignoring
+// ASCII case and the last duplicate wins, as in Unmarshal. On false p
+// may be partly filled; the caller unmarshals the line instead, which
+// stays the reference and the only source of errors. Unmarshal folds
+// non-ASCII keys too ("taſk" fills task), so those decline.
+func scanLine(line []byte, p *lineProbe, probe bool) bool {
+	if !json.Valid(line) {
+		return false
+	}
+	// Valid guarantees the grammar below: every index the walk reads
+	// exists, and after the object's '}' only whitespace remains.
+	i := skipSpace(line, 0)
+	if line[i] != '{' {
+		return false
+	}
+	i = skipSpace(line, i+1)
+	for line[i] != '}' {
+		if line[i] == ',' {
+			i = skipSpace(line, i+1)
+		}
+		// A key holding an escape has a backslash before the first
+		// quote after its opening one, so plain refuses it whole.
+		keyEnd := i + 1 + bytes.IndexByte(line[i+1:], '"')
+		key := line[i+1 : keyEnd]
+		if !plain(key) {
+			return false
+		}
+		start := skipSpace(line, skipSpace(line, keyEnd+1)+1) // past ':'
+		end := valueEnd(line, start)
+		val := line[start:end]
+		null := string(val) == "null"
+		switch {
+		case bytes.EqualFold(key, []byte("index")):
+			if !null && !scanUint(val, &p.Index) {
+				return false
+			}
+		case !probe:
+			// entryIndex reads no other field.
+		case bytes.EqualFold(key, []byte("orbit_size")):
+			if !null && !scanUint(val, &p.OrbitSize) {
+				return false
+			}
+		case bytes.EqualFold(key, []byte("solved")):
+			switch string(val) {
+			case "true", "false":
+				p.Solved = val[0] == 't'
+			case "null":
+			default:
+				return false
+			}
+		case bytes.EqualFold(key, []byte("task")):
+			if !null {
+				if val[0] != '"' || !plain(val) {
+					return false
+				}
+				p.Task = string(val[1 : len(val)-1])
+			}
+		}
+		i = skipSpace(line, end)
+	}
+	return true
+}
+
+// skipSpace returns the position of the first non-whitespace byte of
+// line at or after i.
+func skipSpace(line []byte, i int) int {
+	for i < len(line) && (line[i] == ' ' || line[i] == '\t' || line[i] == '\n' || line[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// valueEnd returns the end of the JSON value starting at line[i],
+// which a valid document holds and follows by a delimiter.
+func valueEnd(line []byte, i int) int {
+	switch line[i] {
+	case '"':
+		for j := i + 1; ; j++ {
+			switch line[j] {
+			case '\\':
+				j++
+			case '"':
+				return j + 1
+			}
+		}
+	case '{', '[':
+		depth := 0
+		for j := i; ; j++ {
+			switch line[j] {
+			case '"':
+				j = valueEnd(line, j) - 1
+			case '{', '[':
+				depth++
+			case '}', ']':
+				if depth--; depth == 0 {
+					return j + 1
+				}
+			}
+		}
+	default: // number, true, false or null
+		j := i
+		for ; j < len(line); j++ {
+			switch line[j] {
+			case ',', '}', ']', ' ', '\t', '\n', '\r':
+				return j
+			}
+		}
+		return j
+	}
+}
+
+// scanUint stores a JSON number literal made only of digits into *v,
+// as Unmarshal does for a uint64 field; a sign, fraction, exponent or
+// overflow declines.
+func scanUint(val []byte, v *uint64) bool {
+	for _, c := range val {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	n, err := strconv.ParseUint(string(val), 10, 64)
+	if err != nil {
+		return false
+	}
+	*v = n
+	return true
+}
+
+// plain reports whether b is ASCII without a backslash: nothing for
+// Unmarshal to unescape, and nothing it folds beyond ASCII case, as
+// bytes.EqualFold then does too.
+func plain(b []byte) bool {
+	for _, c := range b {
+		if c == '\\' || c >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }
 
 // LookupSource reports how a Lookup resolved.
