@@ -60,7 +60,6 @@ func BenchmarkCensusSolve(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rep, err := census.Run(2, census.Options{
 					Workers:         workers,
-					Solve:           true,
 					Task:            "kset:k=1",
 					VerifyWitnesses: true,
 					Cache:           chromatic.NewTowerCache(),

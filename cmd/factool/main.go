@@ -405,7 +405,6 @@ func cmdCensus(args []string) error {
 	}
 	opts := census.Options{
 		Workers:         *workers,
-		Solve:           *solve,
 		Task:            *task,
 		Family:          *family,
 		MaxRounds:       *rounds,

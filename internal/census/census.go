@@ -70,16 +70,12 @@ type Options struct {
 	// selects a default scaled to the domain.
 	ShardSize int
 
-	// Solve additionally decides the configured task (Task, or
-	// consensus) for every fair adversary with setcon ≥ 1, building R_A
-	// over the run's shared Universe and solving through the shared
-	// TowerCache.
-	Solve bool
-
 	// Task is the spec of the task to decide — a registered tasks.Spec
 	// string such as "kset:k=2", "loop-agreement" or "approx:eps=1".
-	// Non-empty implies Solve; empty with Solve set selects "kset:k=1"
-	// (consensus). Non-kset specs stamp every emitted entry with the
+	// Non-empty, the run decides it for every fair adversary with
+	// setcon ≥ 1, building R_A over the run's shared Universe and
+	// solving through the shared TowerCache; empty, the run only
+	// classifies. Non-kset specs stamp every emitted entry with the
 	// spec string; kset entries carry no task field, exactly as before
 	// task specs existed.
 	Task string
@@ -132,7 +128,7 @@ type Options struct {
 	CheckpointEvery uint64
 
 	// Resume continues from the Checkpoint sidecar when it exists: the
-	// sweep restarts at the recorded frontier, resumable sinks truncate
+	// sweep restarts at the recorded frontier, a *JSONLSink truncates
 	// to the recorded offset, and the final output is byte-identical to
 	// an uninterrupted run. A missing sidecar starts fresh.
 	Resume bool
@@ -203,7 +199,7 @@ type Entry struct {
 	OrbitSize uint64 `json:"orbit_size,omitempty"`
 
 	// Solve-mode fields (omitted when the adversary was not solved:
-	// Solve unset, unfair adversary, or empty R_A).
+	// no Task, unfair adversary, or empty R_A).
 	Solved    bool  `json:"solved,omitempty"`
 	Solvable  *bool `json:"solvable,omitempty"`
 	Rounds    int   `json:"rounds,omitempty"`
@@ -294,13 +290,13 @@ func Stream(n int, opts Options, sink Sink) (*Report, error) {
 		sink = Discard{}
 	}
 	if opts.Resume && opts.Checkpoint == "" {
-		// Silently ignoring Resume would reset persistent sinks to
+		// Silently ignoring Resume would reset a JSONL stream to
 		// offset zero — destroying the campaign output it was meant to
 		// continue.
 		return nil, errors.New("census: Resume requires a Checkpoint path")
 	}
 	total := adversary.CensusSize(n)
-	env, err := newRunEnv(n, &opts)
+	env, err := newRunEnv(n, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -308,8 +304,11 @@ func Stream(n int, opts Options, sink Sink) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp := fingerprint(n, &opts, env.spec, family)
-	kind := sinkKind(sink)
+	fp := env.fingerprint(opts.Orbits, family)
+	// The JSONL stream is the one sink a run repositions, flushes and
+	// measures; every other sink is volatile.
+	js, _ := sink.(*JSONLSink)
+	kind := sinkKind(js)
 
 	// Resume state: the contiguous completed frontier and the running
 	// aggregates recorded by the interrupted run's last checkpoint.
@@ -330,8 +329,8 @@ func Stream(n int, opts Options, sink Sink) (*Report, error) {
 			return nil, err
 		}
 	}
-	if rs, ok := sink.(ResumableSink); ok {
-		if err := rs.ResumeAt(emitted, outBytes); err != nil {
+	if js != nil {
+		if err := js.ResumeAt(emitted, outBytes); err != nil {
 			return nil, err
 		}
 	}
@@ -368,6 +367,13 @@ func Stream(n int, opts Options, sink Sink) (*Report, error) {
 			shardSize = 1024
 		}
 	}
+	// MaxIndices ends the sweep at start+MaxIndices (overflow-safe: a
+	// wrapped end would regress the frontier under emitted output). It
+	// clips after the default shard size is taken from the whole window,
+	// so shard boundaries, checkpoints and gzip members do not move.
+	if opts.MaxIndices > 0 && opts.MaxIndices < end-start {
+		end = start + opts.MaxIndices
+	}
 	checkpointEvery := opts.CheckpointEvery
 	if checkpointEvery == 0 {
 		checkpointEvery = 1 << 16
@@ -376,13 +382,14 @@ func Stream(n int, opts Options, sink Sink) (*Report, error) {
 	sweep := env.tracer.Start("census.sweep", opts.TraceParent,
 		"n", strconv.Itoa(n),
 		"orbits", strconv.FormatBool(opts.Orbits),
-		"solve", strconv.FormatBool(opts.Solve),
+		"solve", strconv.FormatBool(env.solve),
 		"start", strconv.FormatUint(start, 10),
 		"end", strconv.FormatUint(end, 10))
 	defer sweep.End()
 
 	em := &emitter{
 		sink:            sink,
+		js:              js,
 		sum:             &sum,
 		total:           total,
 		frontierIdx:     start,
@@ -440,9 +447,9 @@ func Stream(n int, opts Options, sink Sink) (*Report, error) {
 	produced := make(chan orbitBlock, workers*4)
 	prodQuit := make(chan struct{})
 	defer close(prodQuit)
-	go produceOrbitBlocks(walk, produced, prodQuit, start, end, shardSize, opts.MaxIndices)
+	go produceOrbitBlocks(walk, produced, prodQuit, start, end, shardSize)
 	var blocks <-chan orbitBlock = produced
-	if opts.Solve {
+	if env.solve {
 		scheduled := make(chan orbitBlock)
 		go scheduleBigOrbitFirst(produced, scheduled, prodQuit, uint64(workers)*4)
 		blocks = scheduled
@@ -525,8 +532,8 @@ func Stream(n int, opts Options, sink Sink) (*Report, error) {
 		if err := em.writeCheckpoint(); err != nil {
 			return nil, err
 		}
-	} else if f, ok := sink.(Flusher); ok {
-		if err := f.Flush(); err != nil {
+	} else if js != nil {
+		if err := js.Flush(); err != nil {
 			return nil, err
 		}
 	}
@@ -537,7 +544,7 @@ func Stream(n int, opts Options, sink Sink) (*Report, error) {
 		rep.Incomplete = true
 		rep.NextIndex = em.frontierIdx
 	}
-	if opts.Solve {
+	if env.solve {
 		if env.spec.IsKSet() {
 			rep.Summary.KTask = env.spec.Param("k")
 		} else {
@@ -558,6 +565,7 @@ type emitter struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	sink Sink
+	js   *JSONLSink // sink, when it is the JSONL stream; nil otherwise
 	sum  *Summary
 
 	total uint64
@@ -627,21 +635,14 @@ func walkAll(total uint64) indexWalk {
 
 // produceOrbitBlocks walks the swept sequence from the resume frontier
 // and slices it into rank blocks, with the channel send as
-// backpressure (capacity + reorder window bound prefetch). MaxIndices
-// budgets the sweep in raw enumeration indices: the walk ends at the
-// first index at or beyond start+maxIndices and the final block's hi
-// lands on that boundary, so the checkpointed frontier covers every
-// skipped non-canonical index below it. quit unblocks the producer when
-// the run winds down early (stop, budget, failure).
-func produceOrbitBlocks(walk indexWalk, out chan<- orbitBlock, quit <-chan struct{}, start, total, shardSize, maxIndices uint64) {
+// backpressure (capacity + reorder window bound prefetch). The walk
+// ends at the first index at or beyond limit — the range end, the
+// domain end or the MaxIndices budget — and the final block's hi lands
+// on limit, so the checkpointed frontier covers every skipped
+// non-canonical index below it. quit unblocks the producer when the
+// run winds down early (stop, budget, failure).
+func produceOrbitBlocks(walk indexWalk, out chan<- orbitBlock, quit <-chan struct{}, start, limit, shardSize uint64) {
 	defer close(out)
-	limit := total
-	// Overflow-safe: start+maxIndices can wrap on an "effectively
-	// unlimited" budget, and a wrapped limit below start would regress
-	// the frontier under already-emitted output.
-	if maxIndices > 0 && maxIndices < total-start {
-		limit = start + maxIndices
-	}
 	newBlock := func(seq, lo uint64) orbitBlock {
 		return orbitBlock{seq: seq, lo: lo, reps: make([]canonRep, 0, shardSize)}
 	}
@@ -903,14 +904,14 @@ func (em *emitter) writeCheckpoint() error {
 func (em *emitter) writeCheckpointLocked() error {
 	flushStart := time.Now()
 	defer func() { censusCheckpointSeconds.Observe(time.Since(flushStart).Seconds()) }()
-	if f, ok := em.sink.(Flusher); ok {
-		if err := f.Flush(); err != nil {
+	// The sidecar never records bytes that are not durably in the
+	// stream: flush first, then read the offset.
+	var outBytes int64
+	if em.js != nil {
+		if err := em.js.Flush(); err != nil {
 			return err
 		}
-	}
-	var outBytes int64
-	if o, ok := em.sink.(OffsetSink); ok {
-		outBytes = o.Offset()
+		outBytes = em.js.Offset()
 	}
 	ck := &Checkpoint{
 		Version:     checkpointVersion,

@@ -46,7 +46,7 @@ func TestCensusFigure2(t *testing.T) {
 // private cache built (every tower is extended once, to height 1).
 func TestTowerExtendSpansFollowTracer(t *testing.T) {
 	tr := obs.NewTracer(0)
-	rep, err := Run(3, Options{Solve: true, Workers: 2, Tracer: tr})
+	rep, err := Run(3, Options{Task: "kset:k=1", Workers: 2, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCensusDeterminism(t *testing.T) {
 // tiny towers) and checks worker-count invariance of the solve fields
 // and cache statistics too.
 func TestCensusSolveDeterminism(t *testing.T) {
-	opts := Options{Solve: true, Task: "kset:k=1", VerifyWitnesses: true}
+	opts := Options{Task: "kset:k=1", VerifyWitnesses: true}
 	opts.Workers = 1
 	serial, err := Run(2, opts)
 	if err != nil {
@@ -135,7 +135,7 @@ func TestCensusSolveFACT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solve census over 128 adversaries in -short mode")
 	}
-	rep, err := Run(3, Options{Solve: true, Task: "kset:k=2"})
+	rep, err := Run(3, Options{Task: "kset:k=2"})
 	if err != nil {
 		t.Fatal(err)
 	}

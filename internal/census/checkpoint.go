@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"repro/internal/tasks"
 )
 
 // checkpointVersion guards the sidecar schema.
@@ -35,8 +33,9 @@ type Checkpoint struct {
 	OutBytes int64 `json:"out_bytes"`
 
 	// SinkKind records whether the interrupted run streamed to a
-	// persistent sink ("persistent": entries live in an output the run
-	// can reposition) or not ("volatile": summary-only or in-memory).
+	// persistent sink ("persistent" or "persistent-gzip": entries live
+	// in a JSONL stream the run can reposition) or not ("volatile":
+	// summary-only or in-memory).
 	// Resuming with a different kind would silently drop the swept
 	// prefix from the output, so it is rejected instead.
 	SinkKind string `json:"sink_kind"`
@@ -45,17 +44,19 @@ type Checkpoint struct {
 	Summary Summary `json:"summary"`
 }
 
-// sinkKind classifies a sink for checkpoint compatibility. Resumable
-// sinks may refine their kind via KindSink (e.g. the gzip JSONL stream),
-// so a resume never splices one stream form into another.
-func sinkKind(s Sink) string {
-	if _, ok := s.(ResumableSink); ok {
-		if ks, ok := s.(KindSink); ok {
-			return ks.SinkKind()
-		}
-		return "persistent"
+// sinkKind classifies a run's output for checkpoint compatibility: the
+// JSONL stream js is "persistent", or "persistent-gzip" so a resume
+// never splices plain lines into a gzip stream (or back); a run
+// without one (js nil) is "volatile". Sidecars on disk hold these
+// strings, so they never change.
+func sinkKind(js *JSONLSink) string {
+	switch {
+	case js == nil:
+		return "volatile"
+	case js.compress:
+		return "persistent-gzip"
 	}
-	return "volatile"
+	return "persistent"
 }
 
 // ErrCheckpointMismatch reports a checkpoint that does not belong to
@@ -68,19 +69,16 @@ var ErrCheckpointMismatch = errors.New("census: checkpoint does not match run pa
 // The task identity segment is `k=<k>` on the kset compat path — the
 // exact pre-spec form, so old sidecars resume — and `task=<spec>` for
 // every other spec, so a sweep can never silently resume a sidecar
-// written for a different task. A family filter appends its own
-// segment the same way.
-func fingerprint(n int, opts *Options, spec tasks.Spec, family *familyFilter) string {
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 1
-	}
-	taskSeg := fmt.Sprintf("task=%s", spec)
-	if spec.IsKSet() {
-		taskSeg = fmt.Sprintf("k=%d", spec.Param("k"))
+// written for a different task. A classify run fingerprints the
+// default spec, kset:k=1, as it always has. A family filter appends
+// its own segment the same way.
+func (env *runEnv) fingerprint(orbits bool, family *familyFilter) string {
+	taskSeg := fmt.Sprintf("task=%s", env.spec)
+	if env.spec.IsKSet() {
+		taskSeg = fmt.Sprintf("k=%d", env.spec.Param("k"))
 	}
 	fp := fmt.Sprintf("census:v%d:n=%d:orbits=%t:solve=%t:%s:rounds=%d:verify=%t",
-		checkpointVersion, n, opts.Orbits, opts.Solve, taskSeg, maxRounds, opts.VerifyWitnesses)
+		checkpointVersion, env.n, orbits, env.solve, taskSeg, env.maxRounds, env.verify)
 	if family != nil {
 		fp += ":family=" + family.canonical
 	}

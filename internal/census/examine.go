@@ -36,37 +36,30 @@ type runEnv struct {
 }
 
 // newRunEnv normalizes the examination-shaping options into the shared
-// environment: the resolved task spec (Options.Task, or kset:k=1),
+// environment: whether to solve (a non-empty Options.Task), the task
+// spec (kset:k=1 for classify runs, which only fingerprint it),
 // defaulted rounds, a Universe (the run-private default, or
 // opts.Universe to share e.g. chromatic.SharedUniverse across engines),
 // and a TowerCache (opts.Cache, or a private unbounded one).
-func newRunEnv(n int, opts *Options) (*runEnv, error) {
+func newRunEnv(n int, opts Options) (*runEnv, error) {
+	solve := opts.Task != ""
 	spec := tasks.KSetSpec(1)
-	if opts.Task != "" {
+	taskLabel := classifyTaskLabel
+	if solve {
 		var err error
-		spec, err = tasks.ParseSpec(opts.Task)
-		if err != nil {
+		if spec, err = tasks.ParseSpec(opts.Task); err != nil {
 			return nil, fmt.Errorf("census: %w", err)
 		}
-		// Naming a task is asking for its decision: Task implies Solve,
-		// like the factool -task flag. Mutated through the pointer so
-		// the callers' later opts.Solve reads agree.
-		opts.Solve = true
-	}
-	// Probe the registry once so a spec the builder rejects fails the
-	// run up front, not per examined index.
-	if opts.Solve {
+		// Build the task once so a spec that cannot be built fails the
+		// run up front, not per examined index.
 		if _, err := spec.Build(n); err != nil {
 			return nil, fmt.Errorf("census: %w", err)
 		}
+		taskLabel = spec.String()
 	}
 	taskField := ""
 	if !spec.IsKSet() {
 		taskField = spec.String()
-	}
-	taskLabel := classifyTaskLabel
-	if opts.Solve {
-		taskLabel = spec.String()
 	}
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
@@ -89,7 +82,7 @@ func newRunEnv(n int, opts *Options) (*runEnv, error) {
 		all:       adversary.EnumerationDomain(n),
 		universe:  universe,
 		cache:     cache,
-		solve:     opts.Solve,
+		solve:     solve,
 		spec:      spec,
 		taskField: taskField,
 		taskLabel: taskLabel,
@@ -190,15 +183,15 @@ type Examiner struct {
 }
 
 // NewExaminer builds an examiner for n-process queries. Only the
-// examination-shaping options are read: Solve, Task, MaxRounds,
-// VerifyWitnesses, Cache and Universe. Pass
+// examination-shaping options are read: Task (empty classifies only),
+// MaxRounds, VerifyWitnesses, Cache and Universe. Pass
 // chromatic.SharedUniverse(n) as opts.Universe to share the vertex
 // identity space with other engines of the process.
 func NewExaminer(n int, opts Options) (*Examiner, error) {
 	if n < 1 || n > 6 {
 		return nil, fmt.Errorf("census: n must be in [1,6], got %d", n)
 	}
-	env, err := newRunEnv(n, &opts)
+	env, err := newRunEnv(n, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -207,10 +200,6 @@ func NewExaminer(n int, opts Options) (*Examiner, error) {
 
 // N returns the system size queries are answered for.
 func (x *Examiner) N() int { return x.env.n }
-
-// TaskSpec returns the canonical spec of the task the examiner decides
-// in solve mode (kset:k=1 when Options.Task was empty).
-func (x *Examiner) TaskSpec() string { return x.env.spec.String() }
 
 // Examine classifies (and, when the examiner solves, decides) the
 // adversary at the given enumeration index.

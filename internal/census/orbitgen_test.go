@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/adversary"
-	"repro/internal/tasks"
 )
 
 // filterReferenceJSONL renders the n-domain orbit sweep exactly as the
@@ -94,10 +93,9 @@ func TestOrbitResumeFromFilterEraCheckpoint(t *testing.T) {
 	if err := os.WriteFile(out, prefix, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Orbits: true}
 	sidecar := &Checkpoint{
 		Version:     checkpointVersion,
-		Fingerprint: fingerprint(n, &opts, tasks.KSetSpec(1), nil),
+		Fingerprint: "census:v1:n=3:orbits=true:solve=false:k=1:rounds=1:verify=false",
 		NextIndex:   frontier,
 		Emitted:     emitted,
 		OutBytes:    int64(len(prefix)),

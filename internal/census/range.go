@@ -38,8 +38,8 @@ func SweepRange(n int, opts Options, sink Sink, lo, hi uint64) (*Report, error) 
 	}
 	if lo == hi {
 		rep := &Report{Summary: NewSummary(n)}
-		if f, ok := sink.(Flusher); ok {
-			if err := f.Flush(); err != nil {
+		if js, ok := sink.(*JSONLSink); ok {
+			if err := js.Flush(); err != nil {
 				return nil, err
 			}
 		}

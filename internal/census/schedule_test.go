@@ -94,7 +94,7 @@ func TestScheduleBigOrbitFirstLookahead(t *testing.T) {
 func TestOrbitSolveScheduledByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	opts := func(workers int) Options {
-		return Options{Orbits: true, Solve: true, Task: "kset:k=1", MaxRounds: 1, Workers: workers, ShardSize: 2}
+		return Options{Orbits: true, Task: "kset:k=1", MaxRounds: 1, Workers: workers, ShardSize: 2}
 	}
 	w1 := filepath.Join(dir, "w1.jsonl")
 	w8 := filepath.Join(dir, "w8.jsonl")

@@ -18,40 +18,11 @@ import (
 
 // Sink consumes census entries in strict enumeration order. Emit owns
 // the entry only for the duration of the call; implementations that
-// retain it must copy.
+// retain it must copy. A *JSONLSink is the one sink the engine also
+// repositions, flushes and measures, which is what makes a run
+// resumable; every other sink only receives entries.
 type Sink interface {
 	Emit(e *Entry) error
-}
-
-// Flusher is implemented by sinks with buffered output. The engine
-// flushes before writing a checkpoint, so the sidecar never records
-// bytes that are not durably in the stream.
-type Flusher interface {
-	Flush() error
-}
-
-// OffsetSink reports the byte offset of the stream after the last
-// emitted entry — what a checkpoint records so a resumed run can
-// truncate a partially written tail.
-type OffsetSink interface {
-	Offset() int64
-}
-
-// ResumableSink is a sink with persistent output that can be positioned
-// at a checkpoint: `entries` entries / `bytes` bytes already emitted by
-// the interrupted run. Fresh runs position at (0, 0), which must reset
-// the output. The engine calls ResumeAt exactly once, before any Emit.
-type ResumableSink interface {
-	Sink
-	ResumeAt(entries uint64, bytes int64) error
-}
-
-// KindSink lets a sink refine its checkpoint-compatibility kind beyond
-// the persistent/volatile split (checkpoint.go). A compressed stream
-// records a distinct kind so a resume cannot silently splice
-// uncompressed lines into a gzip stream (or vice versa).
-type KindSink interface {
-	SinkKind() string
 }
 
 // Collector is the in-memory sink: it materializes every entry, which
@@ -142,17 +113,6 @@ func newJSONLSink(path string, compress bool) (*JSONLSink, error) {
 // Compressed reports whether the sink gzips its stream.
 func (s *JSONLSink) Compressed() bool { return s.compress }
 
-// SinkKind distinguishes the two persistent stream forms for checkpoint
-// compatibility: a gzip checkpoint must not resume an uncompressed
-// output (or vice versa). The uncompressed kind is the historic
-// "persistent", so existing campaign checkpoints keep resuming.
-func (s *JSONLSink) SinkKind() string {
-	if s.compress {
-		return "persistent-gzip"
-	}
-	return "persistent"
-}
-
 // Emit writes one JSON line.
 func (s *JSONLSink) Emit(e *Entry) error {
 	b, err := json.Marshal(e)
@@ -173,11 +133,13 @@ func (s *JSONLSink) Emit(e *Entry) error {
 
 // ResumeAt positions the file at a checkpoint: everything beyond the
 // recorded offset (a tail written after the last checkpoint of an
-// interrupted run) is truncated away. For compressed streams the offset
-// is a gzip-member boundary, so the truncated file stays a valid
-// multi-stream gzip and the resumed run simply appends new members. An
-// output file shorter than the checkpoint claims is corruption and is
-// reported instead of silently producing a stream with holes.
+// interrupted run) is truncated away. Stream calls it once, before any
+// Emit; a fresh run positions at (0, 0), which empties the file. For
+// compressed streams the offset is a gzip-member boundary, so the
+// truncated file stays a valid multi-stream gzip and the resumed run
+// simply appends new members. An output file shorter than the
+// checkpoint claims is corruption and is reported instead of silently
+// producing a stream with holes.
 func (s *JSONLSink) ResumeAt(entries uint64, bytes int64) error {
 	st, err := s.f.Stat()
 	if err != nil {

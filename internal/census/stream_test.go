@@ -341,11 +341,11 @@ func TestOrbitCensusTotals(t *testing.T) {
 // TestOrbitCensusSolveTotals checks orbit weighting through the solve
 // path at n=2: weighted solve counters match the full solving sweep.
 func TestOrbitCensusSolveTotals(t *testing.T) {
-	full, err := Run(2, Options{Solve: true, Task: "kset:k=1", VerifyWitnesses: true})
+	full, err := Run(2, Options{Task: "kset:k=1", VerifyWitnesses: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	orb, err := Stream(2, Options{Solve: true, Task: "kset:k=1", VerifyWitnesses: true, Orbits: true}, nil)
+	orb, err := Stream(2, Options{Task: "kset:k=1", VerifyWitnesses: true, Orbits: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,10 @@ import (
 
 // TestTaskSpecKsetBytesPinned pins the kset path to bytes recorded
 // before task specs replaced the KTask option: the JSONL streams of
-// Solve alone (k=1) and of Task "kset:k=2" (no entry carries a task
-// field), the k=2 summary (k_task set, no task field) and its
-// checkpoint fingerprint, whose pre-spec `k=<k>` segment keeps old
-// sidecars resumable.
+// Task "kset:k=1" (what -solve means) and of Task "kset:k=2" (no entry
+// carries a task field), the k=2 summary (k_task set, no task field)
+// and its checkpoint fingerprint, whose pre-spec `k=<k>` segment keeps
+// old sidecars resumable.
 func TestTaskSpecKsetBytesPinned(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
@@ -35,7 +35,7 @@ func TestTaskSpecKsetBytesPinned(t *testing.T) {
 	}{
 		{
 			name:   "k=1",
-			opts:   Options{Workers: 4, Solve: true},
+			opts:   Options{Workers: 4, Task: "kset:k=1"},
 			sha256: "63feb4b2ebd4398d7771e46aa99991e96abd8138bee05fe0f06fcc01a5f86a8a",
 			size:   22282,
 		},
@@ -118,7 +118,7 @@ func TestConsensusSpecMatchesKSet1(t *testing.T) {
 	dir := t.TempDir()
 	ks := filepath.Join(dir, "kset1.jsonl")
 	cons := filepath.Join(dir, "consensus.jsonl")
-	runJSONL(t, 3, Options{Workers: 4, Solve: true, Task: "kset:k=1"}, ks)
+	runJSONL(t, 3, Options{Workers: 4, Task: "kset:k=1"}, ks)
 	runJSONL(t, 3, Options{Workers: 4, Task: "consensus"}, cons)
 	ksLines := bytes.Split(bytes.TrimSpace(readFile(t, ks)), []byte{'\n'})
 	consLines := bytes.Split(bytes.TrimSpace(readFile(t, cons)), []byte{'\n'})
@@ -159,7 +159,7 @@ func TestCheckpointTaskMismatchRejected(t *testing.T) {
 		t.Fatal("budgeted run not incomplete")
 	}
 	for _, bad := range []Options{
-		{Workers: 1, Solve: true, Task: "kset:k=1", Checkpoint: ck, Resume: true},
+		{Workers: 1, Task: "kset:k=1", Checkpoint: ck, Resume: true},
 		{Workers: 1, Task: "approx:eps=1", Checkpoint: ck, Resume: true},
 		{Workers: 1, Task: "loop-agreement", Family: "symmetric", Checkpoint: ck, Resume: true},
 	} {

@@ -91,9 +91,6 @@ func (mt *MembershipTable) NumRuns() int { return mt.nParts * mt.nParts }
 // Len returns the number of accepted runs.
 func (mt *MembershipTable) Len() int { return mt.count }
 
-// All reports whether the table accepts every run.
-func (mt *MembershipTable) All() bool { return mt.words == nil }
-
 // Contains reports whether the run with the given rank is accepted. The
 // rank must lie in [0, NumRuns()).
 func (mt *MembershipTable) Contains(r RunRank) bool {

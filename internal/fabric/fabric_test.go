@@ -86,7 +86,7 @@ func sweepShard(t *testing.T, dir string, camp Campaign, u Unit) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := census.Options{Orbits: camp.Orbits, Solve: camp.Solve, Task: camp.Task, MaxRounds: camp.MaxRounds}
+	opts := census.Options{Orbits: camp.Orbits, Task: camp.Task, MaxRounds: camp.MaxRounds}
 	rep, err := census.SweepRange(camp.N, opts, sink, u.Lo, u.Hi)
 	if err != nil {
 		t.Fatal(err)

@@ -447,7 +447,6 @@ func (w *worker) runUnit(l *leaseInfo) (entries uint64, campaignDone bool, err e
 	sweep := census.Options{
 		Workers:     w.opts.Workers,
 		Orbits:      c.Orbits,
-		Solve:       c.Solve,
 		Task:        c.Task,
 		MaxRounds:   c.MaxRounds,
 		Cache:       w.cache,

@@ -17,10 +17,9 @@ type OrderedPartition []Set
 
 // Validation errors for ordered partitions.
 var (
-	ErrEmptyBlock    = errors.New("ordered partition has an empty block")
-	ErrOverlap       = errors.New("ordered partition blocks overlap")
-	ErrWrongGround   = errors.New("ordered partition does not cover the ground set")
-	ErrUnknownMember = errors.New("process not in ordered partition")
+	ErrEmptyBlock  = errors.New("ordered partition has an empty block")
+	ErrOverlap     = errors.New("ordered partition blocks overlap")
+	ErrWrongGround = errors.New("ordered partition does not cover the ground set")
 )
 
 // Validate checks that op is an ordered partition of ground.

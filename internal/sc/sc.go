@@ -144,7 +144,6 @@ func (s Simplex) Faces() []Simplex {
 var (
 	ErrUnknownVertex   = errors.New("simplex references unknown vertex")
 	ErrVertexConflict  = errors.New("vertex re-added with different data")
-	ErrNotChromatic    = errors.New("complex is not chromatic")
 	ErrEmptySimplex    = errors.New("empty simplex")
 	ErrColorOutOfRange = errors.New("vertex color out of range")
 )

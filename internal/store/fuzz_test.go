@@ -301,7 +301,7 @@ func lineSeeds(f *testing.F) [][]byte {
 		}
 		lines = append(lines, b)
 	}
-	for _, opts := range []census.Options{{}, {Solve: true}, {Task: "consensus"}} {
+	for _, opts := range []census.Options{{}, {Task: "kset:k=1"}, {Task: "consensus"}} {
 		ex, err := census.NewExaminer(3, opts)
 		if err != nil {
 			f.Fatal(err)

@@ -121,7 +121,6 @@ type Server struct {
 
 	started time.Time
 
-	ready    atomic.Bool
 	draining atomic.Bool
 
 	// Aggregate counters across mounts (surfaced on /healthz; the
@@ -177,7 +176,6 @@ func NewServer(reg *Registry, opts ServerOptions) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.ready.Store(true)
 	return s, nil
 }
 
@@ -647,17 +645,17 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			api.Error(w, r, http.StatusBadRequest, "bad task %q: %v", v, err)
 			return
 		}
+		if k := spec.Param("k"); spec.IsKSet() && k > n {
+			api.Error(w, r, http.StatusBadRequest, "task %q: k=%d outside [1, %d]", v, k, n)
+			return
+		}
 	} else if v := q.Get("ktask"); v != "" {
 		k, err := strconv.Atoi(v)
-		if err != nil || k < 1 {
+		if err != nil || k < 1 || k > n {
 			api.Error(w, r, http.StatusBadRequest, "ktask %q outside [1, %d]", v, n)
 			return
 		}
 		spec = tasks.KSetSpec(k)
-	}
-	if k := spec.Param("k"); spec.IsKSet() && k > n {
-		api.Error(w, r, http.StatusBadRequest, "ktask %q outside [1, %d]", strconv.Itoa(k), n)
-		return
 	}
 	maxRounds := s.opts.MaxRounds
 	if v := q.Get("rounds"); v != "" {
@@ -715,7 +713,7 @@ func (s *Server) solver(ms *mountState, spec string, rounds int) (*census.Examin
 		return ex, nil
 	}
 	ex, err := census.NewExaminer(key.n, census.Options{
-		Solve: true, Task: spec, MaxRounds: rounds,
+		Task: spec, MaxRounds: rounds,
 		Universe: ms.universe, Cache: s.tcache,
 	})
 	if err != nil {
@@ -802,16 +800,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case s.draining.Load():
+	if s.draining.Load() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		api.WriteJSON(w, map[string]string{"status": "draining"})
-	case !s.ready.Load():
-		w.WriteHeader(http.StatusServiceUnavailable)
-		api.WriteJSON(w, map[string]string{"status": "starting"})
-	default:
-		api.WriteJSON(w, map[string]string{"status": "ready"})
+		return
 	}
+	api.WriteJSON(w, map[string]string{"status": "ready"})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -172,7 +172,7 @@ func TestServeSolve(t *testing.T) {
 	// Find the 1-OF adversary's enumeration index: live sets = all
 	// singletons, masks {1, 2, 4} → index bits of the first three
 	// domain positions... resolved robustly via the census entries.
-	rep, err := census.Run(3, census.Options{Workers: 1, Solve: true})
+	rep, err := census.Run(3, census.Options{Workers: 1, Task: "kset:k=1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,24 +239,27 @@ func TestServeSolveExaminerKept(t *testing.T) {
 }
 
 // TestServeBadRequests: parameter validation covers n mismatch, missing
-// and out-of-domain indices, and non-GET methods.
+// and out-of-domain indices, and non-GET methods. A rejected solve
+// parameter is named in the message exactly as the client sent it.
 func TestServeBadRequests(t *testing.T) {
 	srv, _ := newTestServer(t, 3, census.Options{Workers: 1}, ServerOptions{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	for _, tc := range []struct {
-		url  string
-		want int
+		url    string
+		want   int
+		prefix string // the message's start, "" for any
 	}{
-		{"/v1/classify?n=4&index=0", http.StatusNotFound}, // n not mounted
-		{"/v1/classify?index=0", http.StatusBadRequest},   // missing n
-		{"/v1/classify?n=3", http.StatusBadRequest},       // missing index
-		{"/v1/classify?n=3&index=128", http.StatusBadRequest},
-		{"/v1/solve?n=3&index=0&ktask=9", http.StatusBadRequest},
-		{"/v1/solve?n=3&index=0&rounds=99", http.StatusBadRequest},
-		{"/v1/summary?n=2", http.StatusNotFound}, // n not mounted
-		{"/v1/entries?n=3&from=5&to=1", http.StatusBadRequest},
+		{"/v1/classify?n=4&index=0", http.StatusNotFound, ""}, // n not mounted
+		{"/v1/classify?index=0", http.StatusBadRequest, ""},   // missing n
+		{"/v1/classify?n=3", http.StatusBadRequest, ""},       // missing index
+		{"/v1/classify?n=3&index=128", http.StatusBadRequest, ""},
+		{"/v1/solve?n=3&index=0&ktask=9", http.StatusBadRequest, `ktask "9" outside [1, 3]`},
+		{"/v1/solve?n=3&index=0&task=kset:k=9", http.StatusBadRequest, `task "kset:k=9": k=9 outside [1, 3]`},
+		{"/v1/solve?n=3&index=0&rounds=99", http.StatusBadRequest, `rounds "99" outside [1, 4]`},
+		{"/v1/summary?n=2", http.StatusNotFound, ""}, // n not mounted
+		{"/v1/entries?n=3&from=5&to=1", http.StatusBadRequest, ""},
 	} {
 		resp, err := http.Get(ts.URL + tc.url)
 		if err != nil {
@@ -276,6 +279,9 @@ func TestServeBadRequests(t *testing.T) {
 		}
 		if err != nil || env.Error.Code != tc.want || env.Error.Message == "" || env.Error.RequestID == "" {
 			t.Errorf("GET %s: bad error envelope (err %v): %+v", tc.url, err, env)
+		}
+		if !strings.HasPrefix(env.Error.Message, tc.prefix) {
+			t.Errorf("GET %s: message %q, want it to start %q", tc.url, env.Error.Message, tc.prefix)
 		}
 		if got := resp.Header.Get("X-Request-Id"); got != env.Error.RequestID {
 			t.Errorf("GET %s: X-Request-Id header %q != envelope request_id %q", tc.url, got, env.Error.RequestID)

@@ -33,7 +33,9 @@ func censusJSONL(t *testing.T, dir, name string, n int, opts census.Options) (st
 	return path, col.Entries
 }
 
-// teeSink duplicates the stream into a file sink and a collector.
+// teeSink duplicates the stream into a file sink and a collector. It
+// is not a *census.JSONLSink, so the engine neither repositions nor
+// flushes the file: callers start from a fresh file and close it.
 type teeSink struct {
 	a, b census.Sink
 }
@@ -43,27 +45,6 @@ func (s teeSink) Emit(e *census.Entry) error {
 		return err
 	}
 	return s.b.Emit(e)
-}
-
-func (s teeSink) Flush() error {
-	if f, ok := s.a.(census.Flusher); ok {
-		return f.Flush()
-	}
-	return nil
-}
-
-func (s teeSink) Offset() int64 {
-	if o, ok := s.a.(census.OffsetSink); ok {
-		return o.Offset()
-	}
-	return 0
-}
-
-func (s teeSink) ResumeAt(entries uint64, bytes int64) error {
-	if rs, ok := s.a.(census.ResumableSink); ok {
-		return rs.ResumeAt(entries, bytes)
-	}
-	return nil
 }
 
 // splitJSONL writes lines[lo:hi] of a JSONL file to a new shard file.
@@ -433,7 +414,7 @@ func TestSolveStoreDisablesWriteBack(t *testing.T) {
 	dir := t.TempDir()
 	// A partial solve sweep: only the first indices land in the store.
 	shard, _ := censusJSONL(t, dir, "solve.jsonl", 3,
-		census.Options{Workers: 1, Solve: true, ShardSize: 16, MaxIndices: 64})
+		census.Options{Workers: 1, Task: "kset:k=1", ShardSize: 16, MaxIndices: 64})
 	st, err := Create(filepath.Join(dir, "store"), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -459,7 +440,7 @@ func TestSolveStoreDisablesWriteBack(t *testing.T) {
 		t.Fatalf("solve store grew from %d to %d entries on a classify write-back", before, after)
 	}
 	// The rest of the sweep still merges cleanly afterwards.
-	full, _ := censusJSONL(t, dir, "solve-full.jsonl", 3, census.Options{Workers: 1, Solve: true})
+	full, _ := censusJSONL(t, dir, "solve-full.jsonl", 3, census.Options{Workers: 1, Task: "kset:k=1"})
 	if _, err := st.Merge([]string{full}, MergeOptions{}); err != nil {
 		t.Fatalf("completing the solve sweep after serving: %v", err)
 	}

@@ -57,7 +57,7 @@ func TestTaskKindGuard(t *testing.T) {
 	loopShard, loopEntries := taskShard(t, dir, "loop.jsonl", census.Options{Task: "loop-agreement", MaxIndices: 16})
 	approxFull, _ := taskShard(t, dir, "approx-full.jsonl", census.Options{Task: "approx:eps=1", MaxIndices: 24})
 	approxShard := splitJSONL(t, approxFull, filepath.Join(dir, "approx.jsonl"), 16, 24)
-	ksetFull, ksetEntries := taskShard(t, dir, "kset-full.jsonl", census.Options{Solve: true, Task: "kset:k=1"})
+	ksetFull, ksetEntries := taskShard(t, dir, "kset-full.jsonl", census.Options{Task: "kset:k=1"})
 	ksetShard := splitJSONL(t, ksetFull, filepath.Join(dir, "kset.jsonl"), 16, 48)
 	solvedKset := false
 	for _, e := range ksetEntries[16:] {
@@ -139,10 +139,10 @@ func TestPutNewRejectionCommitsNothing(t *testing.T) {
 	}
 	// The first n=3 index with a solve verdict (fair, setcon ≥ 1).
 	idx := uint64(0)
-	for !examine(census.Options{Solve: true}, idx).Solved {
+	for !examine(census.Options{Task: "kset:k=1"}, idx).Solved {
 		idx++
 	}
-	kset := examine(census.Options{Solve: true}, idx)
+	kset := examine(census.Options{Task: "kset:k=1"}, idx)
 	orbitKset := kset.Clone()
 	orbitKset.OrbitSize = 1
 
@@ -210,7 +210,7 @@ func TestVerifyTaskStore(t *testing.T) {
 		t.Fatal("loop store verify re-derived no entries")
 	}
 
-	ksetSt, _ := taskStore(t, dir, "kset", census.Options{Solve: true, Task: "kset:k=1"})
+	ksetSt, _ := taskStore(t, dir, "kset", census.Options{Task: "kset:k=1"})
 	if err := ksetSt.BindTaskSpec("kset:k=1"); err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +236,8 @@ func TestVerifyTaskStore(t *testing.T) {
 func TestServeMultiTask(t *testing.T) {
 	dir := t.TempDir()
 	neutral, _ := taskStore(t, dir, "neutral", census.Options{MaxIndices: 128})
-	kset1, _ := taskStore(t, dir, "kset1", census.Options{Solve: true, Task: "kset:k=1"})
-	kset2, _ := taskStore(t, dir, "kset2", census.Options{Solve: true, Task: "kset:k=2"})
+	kset1, _ := taskStore(t, dir, "kset1", census.Options{Task: "kset:k=1"})
+	kset2, _ := taskStore(t, dir, "kset2", census.Options{Task: "kset:k=2"})
 	loopSt, loopEntries := taskStore(t, dir, "loop", census.Options{Task: "loop-agreement"})
 	if err := kset1.BindTaskSpec("kset:k=1"); err != nil {
 		t.Fatal(err)

@@ -214,7 +214,6 @@ func (v *solveRederiver) rederive(e *census.Entry) ([]byte, error) {
 		rounds = 1
 	}
 	ex, err := census.NewExaminer(v.n, census.Options{
-		Solve:     true,
 		Task:      v.task,
 		MaxRounds: rounds,
 		Universe:  v.universe,
