@@ -13,6 +13,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/affine"
 	"repro/internal/chromatic"
+	"repro/internal/par"
 	"repro/internal/solver"
 	"repro/internal/tasks"
 )
@@ -42,7 +43,7 @@ func BenchmarkParallelApplyAffine(b *testing.B) {
 		}
 		input := tasks.StandardInput(c.n)
 		// On a single-CPU host still exercise the concurrent engine.
-		workers := chromatic.DefaultWorkers()
+		workers := par.Workers(0)
 		if workers < 2 {
 			workers = 2
 		}
@@ -126,7 +127,7 @@ func BenchmarkParallelSolve(b *testing.B) {
 	for _, workers := range []int{1, 0} {
 		name := "serial"
 		if workers == 0 {
-			name = fmt.Sprintf("parallel-%d", chromatic.DefaultWorkers())
+			name = fmt.Sprintf("parallel-%d", par.Workers(0))
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

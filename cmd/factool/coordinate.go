@@ -6,14 +6,9 @@ package main
 // shards into the ledger store.
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/api"
@@ -98,31 +93,18 @@ func cmdCoordinate(args []string) error {
 	// Serve until a signal — or, with -exit-on-complete, until the last
 	// unit merges. Workers polling an already-drained campaign get their
 	// "done" response during the drain window.
-	httpSrv := &http.Server{Handler: c.Handler()}
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() {
-		if *exitOnComplete {
-			select {
-			case <-sigc:
-			case <-c.Done():
-				fmt.Fprintln(os.Stderr, "factool coordinate: campaign complete — draining")
-			}
-		} else {
-			<-sigc
-		}
-		signal.Stop(sigc)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		done <- httpSrv.Shutdown(ctx)
-	}()
-	err = httpSrv.Serve(ln)
-	signal.Stop(sigc)
-	if !errors.Is(err, http.ErrServerClosed) {
-		return err
+	var done <-chan struct{}
+	if *exitOnComplete {
+		done = c.Done()
 	}
-	if err := <-done; err != nil {
+	err = serveUntil(ln, c.Handler(), done, func() {
+		select {
+		case <-done:
+			fmt.Fprintln(os.Stderr, "factool coordinate: campaign complete — draining")
+		default:
+		}
+	}, *drainTimeout)
+	if err != nil {
 		return err
 	}
 

@@ -24,10 +24,10 @@ func debugFlags(fs *flag.FlagSet) (debugAddr, tracePath *string) {
 
 // startDebug wires the shared flags up: span export to tracePath, and
 // the debug mux on debugAddr over reg — nil means a fresh registry that
-// includes the process-global families, which is right for subcommands
-// whose telemetry is entirely package-global (census, serve). The
-// returned cleanup stops the listener and closes the trace file; it is
-// non-nil even on error.
+// includes the process-global families, which is right for census,
+// whose telemetry is entirely package-global. The returned cleanup
+// stops the listener and closes the trace file; it is non-nil even on
+// error.
 func startDebug(name, debugAddr, tracePath string, reg *obs.Registry) (func(), error) {
 	cleanup := func() {}
 	if tracePath != "" {

@@ -268,21 +268,29 @@ func adversaryFlags(fs *flag.FlagSet) (n *int, kind *string, t *int, k *int) {
 	return
 }
 
-func buildAdversary(n int, kind string, t, k int) (*adversary.Adversary, error) {
+// buildAdversary builds the adversary the shared flags select. Flag
+// values out of range are usage errors of fs's subcommand.
+func buildAdversary(fs *flag.FlagSet, n int, kind string, t, k int) (*adversary.Adversary, error) {
+	if n < 1 || n > procs.MaxProcs {
+		return nil, usagef(fs, "%s: -n must be in [1,%d], got %d", fs.Name(), procs.MaxProcs, n)
+	}
 	switch kind {
 	case "waitfree":
 		return adversary.WaitFree(n), nil
 	case "tres":
+		if t < 0 || t > n-1 {
+			return nil, usagef(fs, "%s: -t must be in [0,%d] for n=%d, got %d", fs.Name(), n-1, n, t)
+		}
 		return adversary.TResilient(n, t), nil
 	case "kof":
 		return adversary.KObstructionFree(n, k), nil
 	case "fig5b":
 		if n != 3 {
-			return nil, fmt.Errorf("fig5b adversary is defined for n=3")
+			return nil, usagef(fs, "%s: fig5b adversary is defined for n=3", fs.Name())
 		}
 		return adversary.SupersetClosure(3, procs.SetOf(1), procs.SetOf(0, 2))
 	default:
-		return nil, fmt.Errorf("unknown adversary kind %q", kind)
+		return nil, usagef(fs, "%s: unknown adversary kind %q", fs.Name(), kind)
 	}
 }
 
@@ -291,6 +299,10 @@ func cmdChr(args []string) error {
 	n := fs.Int("n", 3, "number of processes")
 	if err := parseFlags(fs, args); err != nil {
 		return err
+	}
+	// From n=12 on, the Chr² facet count overflows uint64.
+	if *n < 1 || *n >= 12 {
+		return usagef(fs, "chr: -n must be in [1,11], got %d", *n)
 	}
 	fmt.Printf("Chr s for n=%d\n", *n)
 	fmt.Printf("  facets (ordered partitions): %d\n", procs.CountOrderedPartitions(*n))
@@ -306,7 +318,7 @@ func cmdAdversary(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	a, err := buildAdversary(*n, *kind, *t, *k)
+	a, err := buildAdversary(fs, *n, *kind, *t, *k)
 	if err != nil {
 		return err
 	}
@@ -335,7 +347,7 @@ func cmdAffine(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	a, err := buildAdversary(*n, *kind, *t, *k)
+	a, err := buildAdversary(fs, *n, *kind, *t, *k)
 	if err != nil {
 		return err
 	}
@@ -652,7 +664,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	stopDebug, err := startDebug("serve", *debugAddr, *tracePath, nil)
+	stopDebug, err := startDebug("serve", *debugAddr, *tracePath, srv.Registry())
 	if err != nil {
 		return err
 	}
@@ -679,40 +691,61 @@ func cmdServe(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "factool serve: %d store(s) listening on %s\n", len(dirs), ln.Addr())
 
-	httpSrv := &http.Server{Handler: handler}
-	return serveUntilSignal(httpSrv, ln, srv, *drainTimeout)
+	return serveUntil(ln, handler, nil, func() {
+		fmt.Fprintln(os.Stderr, "factool serve: signal — draining in-flight requests")
+		srv.SetDraining(true)
+	}, *drainTimeout)
 }
 
-// serveUntilSignal runs the HTTP server until SIGINT or SIGTERM, then
-// drains: readiness flips first (load balancers stop routing), then
-// Shutdown lets in-flight requests finish within the timeout. A second
-// signal force-quits via the default handler.
-func serveUntilSignal(httpSrv *http.Server, ln net.Listener, srv *store.Server, drainTimeout time.Duration) error {
+// Connection deadlines of the serve and coordinate listeners: a client
+// that has not sent its request headers within readHeaderTimeout, or
+// leaves a keep-alive connection idle for idleTimeout, loses the
+// connection and the goroutine serving it. No read or write deadline
+// is set, because shard uploads and live solves legitimately run long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// serveUntil serves handler on ln until SIGINT or SIGTERM arrives, or
+// until done closes (a nil done never does). It then calls drain and
+// shuts the server down, letting in-flight requests finish within
+// drainTimeout. A second signal during the drain force-quits through
+// the default handler.
+func serveUntil(ln net.Listener, handler http.Handler, done <-chan struct{}, drain func(), drainTimeout time.Duration) error {
+	httpSrv := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	done := make(chan error, 1)
+	served := make(chan struct{}) // closed once Serve has returned
+	shut := make(chan error, 1)
 	go func() {
-		if _, ok := <-sigc; ok {
-			// Hand the signals back to the default handler first, so a
-			// second Ctrl-C during the drain force-quits instead of
-			// panicking on a closed channel.
-			signal.Stop(sigc)
-			fmt.Fprintln(os.Stderr, "factool serve: signal — draining in-flight requests")
-			srv.SetDraining(true)
-			ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-			defer cancel()
-			done <- httpSrv.Shutdown(ctx)
+		select {
+		case <-sigc:
+		case <-done:
+		case <-served:
+			shut <- nil
 			return
 		}
-		done <- nil
+		// Hand the signals back to the default handler first, so a
+		// second Ctrl-C during the drain force-quits.
+		signal.Stop(sigc)
+		drain()
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+		defer cancel()
+		shut <- httpSrv.Shutdown(ctx)
 	}()
 	err := httpSrv.Serve(ln)
 	signal.Stop(sigc) // no-op when the goroutine already stopped it
-	close(sigc)
+	close(served)
+	shutErr := <-shut
 	if !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	return <-done
+	return shutErr
 }
 
 // cmdStore dispatches the store maintenance subcommands.
@@ -880,7 +913,7 @@ func cmdSolve(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	a, err := buildAdversary(*n, *kind, *t, *k)
+	a, err := buildAdversary(fs, *n, *kind, *t, *k)
 	if err != nil {
 		return err
 	}
@@ -916,7 +949,7 @@ func cmdSimulate(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	a, err := buildAdversary(*n, *kind, *t, *k)
+	a, err := buildAdversary(fs, *n, *kind, *t, *k)
 	if err != nil {
 		return err
 	}
@@ -930,7 +963,7 @@ func cmdSimulate(args []string) error {
 	fmt.Printf("Algorithm 1 (Theorem 7): liveness %d/%d, safety %d/%d, mean steps %.1f\n",
 		r1.Liveness, r1.Trials, r1.Safety, r1.Trials, r1.MeanSteps)
 	if len(r1.Violations) > 0 {
-		fmt.Println("  violations:", strings.Join(r1.Violations[:minInt(3, len(r1.Violations))], "; "))
+		fmt.Println("  violations:", strings.Join(r1.Violations[:min(3, len(r1.Violations))], "; "))
 	}
 
 	if err := m.VerifyMuQ(); err != nil {
@@ -943,14 +976,7 @@ func cmdSimulate(args []string) error {
 	fmt.Printf("§6 set-consensus simulation: %d/%d ok, max distinct decisions %d\n",
 		r2.OK, r2.Trials, r2.MaxDistinct)
 	if len(r2.Violations) > 0 {
-		fmt.Println("  violations:", strings.Join(r2.Violations[:minInt(3, len(r2.Violations))], "; "))
+		fmt.Println("  violations:", strings.Join(r2.Violations[:min(3, len(r2.Violations))], "; "))
 	}
 	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -4,10 +4,16 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"math/rand"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/adversary"
 )
 
 func TestRunSubcommands(t *testing.T) {
@@ -281,6 +287,18 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"census", "-h"}, 0},                              // help exits clean
 		{[]string{"help"}, 0},
 		{[]string{"chr", "-n", "3"}, 0},
+		// Out-of-range values are usage errors, not panics or wrapped
+		// counts.
+		{[]string{"loadtest", "-url", "http://127.0.0.1:1", "-n", "7"}, 2}, // census domain past uint64
+		{[]string{"adversary", "-n", "33"}, 2},                             // beyond procs.MaxProcs
+		{[]string{"affine", "-n", "0"}, 2},
+		{[]string{"solve", "-n", "0"}, 2},
+		{[]string{"simulate", "-n", "0"}, 2},
+		{[]string{"adversary", "-n", "3", "-kind", "tres", "-t", "7"}, 2}, // no live set
+		{[]string{"adversary", "-n", "3", "-kind", "tres", "-t", "-1"}, 2},
+		{[]string{"chr", "-n", "12"}, 2}, // Chr² facet count past uint64
+		{[]string{"chr", "-n", "0"}, 2},
+		{[]string{"chr", "-n", "11"}, 0},
 	}
 	for _, c := range cases {
 		var got int
@@ -350,5 +368,81 @@ func TestMergeCLI(t *testing.T) {
 	// Wrong n against an existing store is a runtime error.
 	if err := run([]string{"merge", "-n", "4", "-store", storeDir, shard}); err == nil {
 		t.Error("merge with mismatched -n should fail")
+	}
+}
+
+// TestDrawIndex: the n=6 census domain holds 2^63 indices, past what
+// Int63n accepts; its draws stay inside it and reach its upper half.
+// Smaller domains draw exactly Int63n's sequence, so a seed's requests
+// do not change.
+func TestDrawIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	domain := adversary.CensusSize(6)
+	upper := false
+	for range 64 {
+		idx := drawIndex(rng, domain)
+		if idx >= domain {
+			t.Fatalf("index %d outside the domain of %d", idx, domain)
+		}
+		upper = upper || idx >= domain/2
+	}
+	if !upper {
+		t.Error("64 draws missed the upper half of the n=6 domain")
+	}
+	got, want := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+	for n := 1; n <= 5; n++ {
+		domain := adversary.CensusSize(n)
+		for range 16 {
+			if g, w := drawIndex(got, domain), uint64(want.Int63n(int64(domain))); g != w {
+				t.Fatalf("n=%d: drew %d, Int63n drew %d", n, g, w)
+			}
+		}
+	}
+}
+
+// TestServeUntilDrainsInFlight: once done closes, serveUntil drains
+// and returns nil, but only after the request already in flight has
+// been answered.
+func TestServeUntilDrainsInFlight(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-release
+		io.WriteString(w, "answered")
+	})
+	done, drained := make(chan struct{}), make(chan struct{})
+	served := make(chan error, 1)
+	go func() {
+		served <- serveUntil(ln, handler, done, func() { close(drained) }, 10*time.Second)
+	}()
+	body := make(chan string, 1)
+	go func() {
+		resp, err := http.Get("http://" + ln.Addr().String())
+		if err != nil {
+			body <- err.Error()
+			return
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		body <- string(b)
+	}()
+	<-entered
+	close(done)
+	<-drained
+	select {
+	case err := <-served:
+		t.Fatalf("serveUntil returned %v with a request in flight", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-served; err != nil {
+		t.Fatalf("serveUntil after drain: %v", err)
+	}
+	if got := <-body; got != "answered" {
+		t.Fatalf("in-flight request got %q", got)
 	}
 }

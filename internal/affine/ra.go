@@ -16,12 +16,10 @@ package affine
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/adversary"
 	"repro/internal/chromatic"
+	"repro/internal/par"
 	"repro/internal/procs"
 )
 
@@ -72,20 +70,23 @@ const parallelRARows = 64
 
 // buildRAFacetRows applies the Definition 9 facet filter row by row:
 // rows[i] holds the facets with R1 = parts[i], each row in r2
-// enumeration order. workers <= 0 selects one per CPU; small domains
-// and workers == 1 take the serial path. α is first copied, serially,
-// into a dense table over the subsets of the ground set: callers may
-// pass any AlphaFunc, and one that is slow or not safe for concurrent
-// calls is then evaluated once per subset, on one goroutine. Every
-// worker builds its own r1Context and reads only that table, so rows
-// share no state and the concatenated output is byte-identical across
-// worker counts.
+// enumeration order. The rows fan out through par.For, workers resolved
+// by par.Workers; domains below parallelRARows rows take one worker. α
+// is first copied, serially, into a dense table over the subsets of the
+// ground set: callers may pass any AlphaFunc, and one that is slow or
+// not safe for concurrent calls is then evaluated once per subset, on
+// one goroutine. Every worker builds its own r1Context and reads only
+// that table, so rows share no state and the concatenated output is
+// byte-identical across worker counts.
 func buildRAFacetRows(alpha adversary.AlphaFunc, parts []procs.OrderedPartition, variant Def9Variant, workers int) [][]chromatic.Run2 {
 	if len(parts) > 0 {
 		alpha = alphaTable(alpha, parts[0].Ground())
 	}
 	rows := make([][]chromatic.Run2, len(parts))
-	row := func(i int) {
+	if len(parts) < parallelRARows {
+		workers = 1
+	}
+	par.For(len(parts), workers, func(_, i int) {
 		r1 := parts[i]
 		pc := newR1Context(alpha, r1)
 		for _, r2 := range parts {
@@ -94,35 +95,7 @@ func buildRAFacetRows(alpha adversary.AlphaFunc, parts []procs.OrderedPartition,
 				rows[i] = append(rows[i], run)
 			}
 		}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(parts) {
-		workers = len(parts)
-	}
-	if workers == 1 || len(parts) < parallelRARows {
-		for i := range parts {
-			row(i)
-		}
-		return rows
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(parts) {
-					return
-				}
-				row(i)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return rows
 }
 

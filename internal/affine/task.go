@@ -13,9 +13,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/chromatic"
+	"repro/internal/par"
 	"repro/internal/procs"
 	"repro/internal/sc"
 )
@@ -200,44 +200,17 @@ func (t *Task) RestrictedFacets(p procs.Set) []chromatic.Run2 {
 
 // PrecomputeRestrictedFacets fills the restricted-facet (and membership
 // table) memo for every non-empty participating set P ⊆ Π in parallel —
-// the per-P computations are independent, so they fan out over the
-// worker pool (workers <= 0 selects one per CPU). The memoized results
-// are identical to what serial RestrictedFacets calls would produce;
-// simulation campaigns touching many participating sets call this once
-// up front instead of paying for each set on first touch.
+// the per-P computations are independent, so they fan out through
+// par.For on workers goroutines, resolved by par.Workers. The memoized
+// results are identical to what serial RestrictedFacets calls would
+// produce; simulation campaigns touching many participating sets call
+// this once up front instead of paying for each set on first touch.
 func (t *Task) PrecomputeRestrictedFacets(workers int) {
 	subsets := procs.NonemptySubsets(procs.FullSet(t.n))
-	if workers <= 0 {
-		workers = chromatic.DefaultWorkers()
-	}
-	if workers > len(subsets) {
-		workers = len(subsets)
-	}
-	if workers <= 1 {
-		for _, p := range subsets {
-			t.RestrictedFacets(p)
-		}
-		return
-	}
 	// The closure complex is built lazily under a Once; touch it before
 	// fanning out so workers only read it.
 	t.Complex()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(subsets) {
-					return
-				}
-				t.RestrictedFacets(subsets[i])
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(subsets), workers, func(_, i int) { t.RestrictedFacets(subsets[i]) })
 }
 
 // ContainsSimplex reports whether the interned vertex set is a simplex

@@ -131,7 +131,7 @@ func TestMetricsExposition(t *testing.T) {
 	m.RequestSeconds.Observe(0.003)
 	m.RequestSeconds.Observe(2.0)
 	var buf bytes.Buffer
-	m.Write(&buf)
+	m.WritePrometheus(&buf)
 	out := buf.String()
 	for _, want := range []string{
 		`kit_requests_total{path="/v1/a",code="200"} 3`,

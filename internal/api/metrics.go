@@ -35,14 +35,12 @@ func NewHTTPMetrics(prefix string) *HTTPMetrics {
 	}
 }
 
-// Write emits the request families plus the in-flight gauge.
-func (m *HTTPMetrics) Write(w io.Writer) {
-	m.Requests.Write(w)
-	m.AuthRejected.Write(w)
-	m.RequestSeconds.Write(w)
+// WritePrometheus emits the request families plus the in-flight gauge.
+// It implements obs.Collector, so an HTTPMetrics set registers directly
+// into an obs.Registry.
+func (m *HTTPMetrics) WritePrometheus(w io.Writer) {
+	m.Requests.WritePrometheus(w)
+	m.AuthRejected.WritePrometheus(w)
+	m.RequestSeconds.WritePrometheus(w)
 	obs.WriteGauge(w, m.prefix+"_inflight_requests", "Requests currently being served.", m.Inflight.Load())
 }
-
-// WritePrometheus implements obs.Collector, so an HTTPMetrics set can
-// register directly into an obs.Registry.
-func (m *HTTPMetrics) WritePrometheus(w io.Writer) { m.Write(w) }

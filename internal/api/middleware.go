@@ -75,9 +75,6 @@ type Middleware struct {
 // NewMiddleware builds the chain. Request ids are <epoch>-<seq> with a
 // per-process epoch, so ids stay unique across restarts.
 func NewMiddleware(opts MiddlewareOptions) *Middleware {
-	if opts.Metrics == nil {
-		opts.Metrics = NewHTTPMetrics("api")
-	}
 	mw := &Middleware{
 		opts:  opts,
 		epoch: fmt.Sprintf("%08x", uint32(time.Now().UnixNano())),

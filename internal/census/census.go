@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -43,6 +42,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/chromatic"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // MaxDomain bounds the enumeration spaces Run materializes: the
@@ -58,9 +58,9 @@ var ErrDomainTooLarge = errors.New("census: enumeration domain too large")
 // Options tune a census run. The zero value selects the defaults:
 // classification only, one worker per CPU.
 type Options struct {
-	// Workers bounds the shard worker pool. <= 0 selects one worker per
-	// CPU; 1 runs the serial reference path. The report is identical
-	// for every value.
+	// Workers bounds the shard worker pool, resolved by par.Workers (<= 0
+	// selects one worker per CPU); 1 runs the serial reference path.
+	// The report is identical for every value.
 	Workers int
 
 	// ShardSize is the number of consecutive swept indices one work
@@ -352,10 +352,7 @@ func Stream(n int, opts Options, sink Sink) (*Report, error) {
 		}
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := par.Workers(opts.Workers)
 	remaining := end - start
 	shardSize := uint64(opts.ShardSize)
 	if opts.ShardSize <= 0 {

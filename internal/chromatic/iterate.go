@@ -14,22 +14,21 @@ package chromatic
 // MemberTables provider; a Membership predicate becomes one through
 // TablesOf.
 //
-// Construction fans out across a bounded worker pool: the unit of work
-// is one (base face, first-round schedule) pair, whose second-round
-// schedules a worker enumerates against the membership table. Each
-// worker dedups the vertices it produces in a private shard; shards are
-// merged into the global intern table in the serial enumeration order,
-// so the resulting complex — vertex IDs, labels, carriers, simplices —
-// is byte-identical for every worker count.
+// Construction fans out through par.For: the unit of work is one (base
+// face, first-round schedule) pair, whose second-round schedules a
+// worker enumerates against the membership table. Each worker dedups
+// the vertices it produces in a private shard; shards are merged into
+// the global intern table in the serial enumeration order, so the
+// resulting complex — vertex IDs, labels, carriers, simplices — is
+// byte-identical for every worker count.
 
 import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/procs"
 	"repro/internal/sc"
 )
@@ -55,10 +54,6 @@ type Membership func(run Run2, key RunKey) bool
 // FullChr2Membership accepts every run: L = Chr² s.
 var FullChr2Membership Membership = func(Run2, RunKey) bool { return true }
 
-// DefaultWorkers is the worker count used when callers pass workers <= 0:
-// one worker per available CPU.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // Iterated is one level of affine-task application over a base complex:
 // the sub-complex of Chr²(base) selected by the membership table, with
 // per-vertex carriers into the base complex.
@@ -77,13 +72,11 @@ var ErrNotChromaticBase = errors.New("base complex is not chromatic")
 // ApplyAffineTables computes L(base) from a membership-table provider:
 // for every simplex σ of the base complex and every 2-round run over
 // χ(σ) the provider's table accepts, the corresponding facet of Chr²(σ)
-// is added, with carriers of new vertices pointing into base. workers
-// <= 0 selects DefaultWorkers(); workers == 1 runs the serial reference
-// path. The output is byte-identical across worker counts.
+// is added, with carriers of new vertices pointing into base. workers is
+// resolved by par.Workers; one worker runs the serial reference path.
+// The output is byte-identical across worker counts.
 func ApplyAffineTables(base *sc.Complex, tables MemberTables, workers int) (*Iterated, error) {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
+	workers = par.Workers(workers)
 	faces, err := chromaticFaces(base)
 	if err != nil {
 		return nil, err
@@ -282,7 +275,7 @@ type runUnit struct {
 	r1   int
 }
 
-// applyParallel fans the run enumeration out over the worker pool and
+// applyParallel fans the run enumeration out through par.For and
 // merges the per-unit results in serial enumeration order.
 func (it *Iterated) applyParallel(faces []baseFace, tables MemberTables, workers int) {
 	type groundData struct {
@@ -311,57 +304,58 @@ func (it *Iterated) applyParallel(faces []baseFace, tables MemberTables, workers
 	// results[i] holds the accepted facets of unit i, each facet a list
 	// of shard records in ground order.
 	results := make([][][]*vertexRec, len(units))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			shard := make(map[string]*vertexRec)
-			arenas := make(map[procs.Set]*memoArena[*vertexRec])
-			var keyBuf []byte
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(units) {
-					return
-				}
-				u := units[i]
-				f := faces[u.face]
-				g := byGround[f.ground]
-				tab, mt := g.tab, g.mt
-				members := tab.members
-				m := len(tab.parts)
-				ar := arenas[f.ground]
-				if ar == nil {
-					ar = newMemoArena[*vertexRec](f.ground, len(members))
-					arenas[f.ground] = ar
-				}
-				ar.reset()
-				views1 := tab.views[u.r1]
-				base := u.r1 * m
-				var accepted [][]*vertexRec
-				for j := 0; j < m; j++ {
-					if !mt.Contains(RunRank(base + j)) {
-						continue
-					}
-					views2 := tab.views[j]
-					recs := make([]*vertexRec, 0, len(members))
-					for pi, p := range members {
-						view2 := views2[p]
-						rec, ok := ar.get(pi, view2)
-						if !ok {
-							rec = buildRec(p, view2, views1, f.byColor, shard, &keyBuf)
-							ar.put(pi, view2, rec)
-						}
-						recs = append(recs, rec)
-					}
-					accepted = append(accepted, recs)
-				}
-				results[i] = accepted
-			}
-		}()
+	// Each worker dedups into its own shard and memo arenas, built on
+	// its first unit.
+	type shardState struct {
+		shard  map[string]*vertexRec
+		arenas map[procs.Set]*memoArena[*vertexRec]
+		keyBuf []byte
 	}
-	wg.Wait()
+	states := make([]shardState, workers)
+	par.For(len(units), workers, func(w, i int) {
+		st := &states[w]
+		if st.shard == nil {
+			st.shard = make(map[string]*vertexRec)
+			st.arenas = make(map[procs.Set]*memoArena[*vertexRec])
+		}
+		u := units[i]
+		f := faces[u.face]
+		g := byGround[f.ground]
+		tab, mt := g.tab, g.mt
+		members := tab.members
+		m := len(tab.parts)
+		ar := st.arenas[f.ground]
+		if ar == nil {
+			ar = newMemoArena[*vertexRec](f.ground, len(members))
+			st.arenas[f.ground] = ar
+		}
+		ar.reset()
+		views1 := tab.views[u.r1]
+		base := u.r1 * m
+		// The key buffer lives in a local for the unit, so workers
+		// write their adjacent states once per unit, not per vertex.
+		keyBuf := st.keyBuf
+		var accepted [][]*vertexRec
+		for j := 0; j < m; j++ {
+			if !mt.Contains(RunRank(base + j)) {
+				continue
+			}
+			views2 := tab.views[j]
+			recs := make([]*vertexRec, 0, len(members))
+			for pi, p := range members {
+				view2 := views2[p]
+				rec, ok := ar.get(pi, view2)
+				if !ok {
+					rec = buildRec(p, view2, views1, f.byColor, st.shard, &keyBuf)
+					ar.put(pi, view2, rec)
+				}
+				recs = append(recs, rec)
+			}
+			accepted = append(accepted, recs)
+		}
+		st.keyBuf = keyBuf
+		results[i] = accepted
+	})
 	ids := make([]sc.VertexID, 0, 16)
 	for _, accepted := range results {
 		for _, recs := range accepted {
@@ -481,7 +475,7 @@ type Tower struct {
 }
 
 // newTower starts a tower over the given input complex whose extensions
-// run on workers goroutines (<= 0 selects DefaultWorkers()).
+// run on workers goroutines, resolved by par.Workers.
 func newTower(input *sc.Complex, workers int) *Tower {
 	return &Tower{Input: input, workers: workers, rootCache: make(map[int]map[sc.VertexID]sc.Simplex)}
 }

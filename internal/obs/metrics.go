@@ -5,8 +5,8 @@ package obs
 // atomics, with text exposition. No client library — the exposition
 // format is a few lines of text and the system needs exactly counters,
 // histograms and scrape-time gauges. These began life inside
-// internal/api for the serve surface; internal/api now aliases them
-// from here so the whole process shares one set of primitives.
+// internal/api for the serve surface; the whole process now shares
+// this one set of primitives.
 
 import (
 	"fmt"
@@ -73,9 +73,9 @@ func (c *CounterVec) With(values ...string) *atomic.Uint64 {
 	return v
 }
 
-// Write emits the family in Prometheus text exposition format, rows
-// sorted by label values.
-func (c *CounterVec) Write(w io.Writer) {
+// WritePrometheus emits the family in Prometheus text exposition
+// format, rows sorted by label values.
+func (c *CounterVec) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name)
 	c.mu.Lock()
 	keys := sortedKeys(c.vals)
@@ -97,9 +97,6 @@ func (c *CounterVec) Write(w io.Writer) {
 		fmt.Fprintf(w, "%s{%s} %d\n", c.name, strings.Join(parts, ","), r.val)
 	}
 }
-
-// WritePrometheus implements Collector.
-func (c *CounterVec) WritePrometheus(w io.Writer) { c.Write(w) }
 
 // Gauge is a single instantaneous value set by the instrumented code
 // (as opposed to scrape-time gauges, which use WriteGauge or a
@@ -170,8 +167,9 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of observations so far.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Write emits the histogram in Prometheus text exposition format.
-func (h *Histogram) Write(w io.Writer) {
+// WritePrometheus emits the histogram in Prometheus text exposition
+// format.
+func (h *Histogram) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", h.name, h.help, h.name)
 	var cum uint64
 	for i, ub := range h.buckets {
@@ -182,9 +180,6 @@ func (h *Histogram) Write(w io.Writer) {
 	fmt.Fprintf(w, "%s_sum %s\n", h.name, FormatFloat(math.Float64frombits(h.sumBits.Load())))
 	fmt.Fprintf(w, "%s_count %d\n", h.name, h.count.Load())
 }
-
-// WritePrometheus implements Collector.
-func (h *Histogram) WritePrometheus(w io.Writer) { h.Write(w) }
 
 // FormatFloat renders a float without trailing zeros, matching the
 // bucket labels Prometheus clients emit.

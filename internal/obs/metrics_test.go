@@ -22,7 +22,7 @@ func TestCounterVecLabelEscaping(t *testing.T) {
 	c.With(`back\slash`).Add(3)
 	c.With("new\nline").Add(4)
 	var buf bytes.Buffer
-	c.Write(&buf)
+	c.WritePrometheus(&buf)
 	out := buf.String()
 	for _, want := range []string{
 		`esc_total{who="plain"} 1`,
@@ -51,7 +51,7 @@ func TestCounterVecMultiLabelRows(t *testing.T) {
 	c.With("/v1/classify", "200").Add(5)
 	c.With("/v1/classify", "429").Add(1)
 	var buf bytes.Buffer
-	c.Write(&buf)
+	c.WritePrometheus(&buf)
 	out := buf.String()
 	if !strings.Contains(out, `multi_total{path="/v1/classify",code="200"} 5`) ||
 		!strings.Contains(out, `multi_total{path="/v1/classify",code="429"} 1`) {
@@ -71,7 +71,7 @@ func TestHistogramBucketCumulativity(t *testing.T) {
 		sum += v
 	}
 	var buf bytes.Buffer
-	h.Write(&buf)
+	h.WritePrometheus(&buf)
 	out := buf.String()
 
 	bucketRe := regexp.MustCompile(`lat_seconds_bucket\{le="([^"]+)"\} (\d+)`)
@@ -120,7 +120,7 @@ func TestHistogramSum(t *testing.T) {
 		h.Observe(0.01)
 	}
 	var buf bytes.Buffer
-	h.Write(&buf)
+	h.WritePrometheus(&buf)
 	if !strings.Contains(buf.String(), fmt.Sprintf("x_seconds_sum %s\n", FormatFloat(1.0))) {
 		t.Fatalf("sum drifted:\n%s", buf.String())
 	}
@@ -129,7 +129,7 @@ func TestHistogramSum(t *testing.T) {
 func TestHistogramEmptyExposition(t *testing.T) {
 	h := NewHistogram("idle_seconds", "Never observed.", DefaultLatencyBuckets)
 	var buf bytes.Buffer
-	h.Write(&buf)
+	h.WritePrometheus(&buf)
 	out := buf.String()
 	if !strings.Contains(out, `idle_seconds_bucket{le="+Inf"} 0`) ||
 		!strings.Contains(out, "idle_seconds_count 0") ||
@@ -154,14 +154,14 @@ func TestCounterVecConcurrentRegistration(t *testing.T) {
 				c.With(fmt.Sprintf("w%d", (g+i)%7)).Add(1)
 				if i%50 == 0 {
 					var buf bytes.Buffer
-					c.Write(&buf) // concurrent scrape
+					c.WritePrometheus(&buf) // concurrent scrape
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
 	var buf bytes.Buffer
-	c.Write(&buf)
+	c.WritePrometheus(&buf)
 	rowRe := regexp.MustCompile(`conc_total\{worker="w\d"\} (\d+)`)
 	var total uint64
 	for _, m := range rowRe.FindAllStringSubmatch(buf.String(), -1) {

@@ -5,6 +5,7 @@ package sc
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Map is a vertex map between complexes, the combinatorial datum of a
@@ -22,11 +23,12 @@ var (
 // Apply returns the image of a simplex under the map (canonicalized;
 // a non-injective map may collapse dimensions).
 func (m Map) Apply(s Simplex) Simplex {
-	imgs := make([]VertexID, len(s))
+	img := make(Simplex, len(s))
 	for i, v := range s {
-		imgs[i] = m[v]
+		img[i] = m[v]
 	}
-	return NewSimplex(imgs...)
+	slices.Sort(img)
+	return slices.Compact(img)
 }
 
 // VerifySimplicial checks that m maps every vertex of from into to and

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/sc"
 )
 
@@ -43,10 +44,14 @@ func (b *branch) clone() *branch {
 	return &branch{assign: slices.Clone(b.assign), domains: slices.Clone(b.domains)}
 }
 
-// winnerState tracks the lowest branch index that found a witness or
-// exhausted its node budget.
+// winnerState tracks the lowest index that decided a fan-out's result —
+// in the map search, the branch that found a witness or exhausted its
+// node budget; in the witness check, the simplex of the first violation
+// — and the error found there, nil for a witness.
 type winnerState struct {
-	idx atomic.Int64
+	idx atomic.Int64 // read lock-free by beaten
+	mu  sync.Mutex   // serializes record
+	err error
 }
 
 func newWinnerState(n int) *winnerState {
@@ -55,19 +60,19 @@ func newWinnerState(n int) *winnerState {
 	return w
 }
 
-// beaten reports whether a lower-indexed branch has already decided the
-// result.
-func (w *winnerState) beaten(branch int) bool {
-	return w.idx.Load() < int64(branch)
+// beaten reports whether a lower index has already decided the result.
+func (w *winnerState) beaten(i int) bool {
+	return w.idx.Load() < int64(i)
 }
 
-// record lowers the winner index to branch if it improves it.
-func (w *winnerState) record(branch int) {
-	for {
-		cur := w.idx.Load()
-		if int64(branch) >= cur || w.idx.CompareAndSwap(cur, int64(branch)) {
-			return
-		}
+// record lowers the winner index to i, with err as the outcome found
+// there, if that improves it.
+func (w *winnerState) record(i int, err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if int64(i) < w.idx.Load() {
+		w.idx.Store(int64(i))
+		w.err = err
 	}
 }
 
@@ -134,66 +139,47 @@ func expandFrontier(ctx *searchCtx, root *branch, target int) []*branch {
 	return frontier
 }
 
-// searchParallel fans the frontier out over the worker pool and returns
-// the lowest-indexed witness assignment — the serial search's answer.
+// searchParallel fans the frontier out through par.For and returns the
+// lowest-indexed witness assignment — the serial search's answer.
 func searchParallel(ctx *searchCtx, root *branch, workers int) ([]sc.VertexID, bool, error) {
 	frontier := expandFrontier(ctx, root, workers*branchFactor)
 	if len(frontier) == 0 {
 		return nil, false, nil
 	}
-	type outcome struct {
-		assign []sc.VertexID
-		ok     bool
-		err    error
-	}
-	results := make([]outcome, len(frontier))
+	witnesses := make([][]sc.VertexID, len(frontier))
 	winner := newWinnerState(len(frontier))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(frontier) {
-					return
-				}
-				if winner.beaten(i) {
-					continue
-				}
-				br := frontier[i]
-				if br.solved {
-					results[i] = outcome{assign: br.assign, ok: true}
-					winner.record(i)
-					continue
-				}
-				s := newSearcher(ctx, br)
-				s.winner, s.branch = winner, i
-				solved, err := s.solve()
-				switch {
-				case err == errCancelled:
-					// A lower-indexed branch decided; this subtree is moot.
-				case err != nil:
-					results[i] = outcome{err: err}
-					winner.record(i)
-				case solved:
-					results[i] = outcome{assign: s.assign, ok: true}
-					winner.record(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// Scan in serial visit order: an error before the first witness is
-	// what the serial search would have hit first.
-	for i := range results {
-		if results[i].err != nil {
-			return nil, false, results[i].err
+	par.For(len(frontier), workers, func(_, i int) {
+		if winner.beaten(i) {
+			return
 		}
-		if results[i].ok {
-			return results[i].assign, true, nil
+		br := frontier[i]
+		if br.solved {
+			witnesses[i] = br.assign
+			winner.record(i, nil)
+			return
 		}
+		s := newSearcher(ctx, br)
+		s.winner, s.branch = winner, i
+		solved, err := s.solve()
+		switch {
+		case err == errCancelled:
+			// A lower-indexed branch decided; this subtree is moot.
+		case err != nil:
+			winner.record(i, err)
+		case solved:
+			witnesses[i] = s.assign
+			winner.record(i, nil)
+		}
+	})
+	// The winner is the first branch, in serial visit order, to find a
+	// witness or fail: an error before the first witness is what the
+	// serial search would have hit first.
+	i := int(winner.idx.Load())
+	if i == len(frontier) {
+		return nil, false, nil
 	}
-	return nil, false, nil
+	if winner.err != nil {
+		return nil, false, winner.err
+	}
+	return witnesses[i], true, nil
 }

@@ -21,12 +21,11 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/affine"
 	"repro/internal/chromatic"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/sc"
 	"repro/internal/tasks"
 )
@@ -42,9 +41,9 @@ type Result struct {
 
 // Options tunes the engine. The zero value selects the defaults.
 type Options struct {
-	// Workers bounds the worker pools of both the subdivision
-	// construction and the map search. <= 0 selects
-	// chromatic.DefaultWorkers(); 1 forces the serial reference paths.
+	// Workers bounds the fan-out of both the subdivision construction
+	// and the map search, resolved by par.Workers; 1 forces the serial
+	// reference paths.
 	Workers int
 
 	// Cache, when non-nil, memoizes the iterated subdivisions L^ℓ(I)
@@ -102,10 +101,7 @@ func SolveTables(task *tasks.Task, tables chromatic.MemberTables, maxRounds int,
 	if maxRounds < 1 {
 		return nil, fmt.Errorf("%w: maxRounds %d", ErrBadInput, maxRounds)
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = chromatic.DefaultWorkers()
-	}
+	workers := par.Workers(opts.Workers)
 	limit := opts.NodeLimit
 	if limit <= 0 {
 		limit = defaultNodeLimit
@@ -443,18 +439,15 @@ func (s *searcher) solve() (bool, error) {
 // subdivision L^rounds(I), L given by its membership-table provider
 // (affine.Task is one; the census engine passes it directly). Used by
 // tests and the census engine to guard against solver bugs. The simplex
-// sweep is
-// partitioned across opts.Workers goroutines with early exit once a
-// violation is found; because candidates are checked in the
-// deterministic sorted simplex order and the lowest-indexed violation
-// wins, the returned error is identical for every worker count. When
-// opts.Cache and opts.CacheKey are set the iterated subdivision is
-// acquired from (and shared through) the cache instead of being rebuilt.
+// sweep fans out through par.For on opts.Workers goroutines; simplices
+// are checked in the deterministic sorted simplex order, every index
+// above the lowest violation found so far is skipped, and that lowest
+// violation is the error returned, so it is identical for every worker
+// count. When opts.Cache and opts.CacheKey are set the iterated
+// subdivision is acquired from (and shared through) the cache instead
+// of being rebuilt.
 func VerifyWitnessTables(task *tasks.Task, tables chromatic.MemberTables, rounds int, m sc.Map, opts Options) error {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = chromatic.DefaultWorkers()
-	}
+	workers := par.Workers(opts.Workers)
 	cached := acquireTower(opts, task.Input, workers)
 	defer cached.Release()
 	if err := cached.EnsureHeightTables(tables, rounds); err != nil {
@@ -469,60 +462,23 @@ func VerifyWitnessTables(task *tasks.Task, tables chromatic.MemberTables, rounds
 		return err
 	}
 	sims := top.Simplices() // deterministic sorted order
-	check := func(s sc.Simplex) error {
+	first := newWinnerState(len(sims))
+	par.For(len(sims), workers, func(_, i int) {
+		if first.beaten(i) {
+			return
+		}
+		s := sims[i]
 		img := m.Apply(s)
 		carrier := tower.RootCarrierOfAt(rounds, s)
 		for _, o := range img {
 			if !task.VertexAllowed(carrier, o) {
-				return fmt.Errorf("vertex map not carried at %v", s)
+				first.record(i, fmt.Errorf("vertex map not carried at %v", s))
+				return
 			}
 		}
 		if !task.SimplexAllowed(carrier, img) {
-			return fmt.Errorf("simplex map not carried at %v", s)
+			first.record(i, fmt.Errorf("simplex map not carried at %v", s))
 		}
-		return nil
-	}
-	if workers == 1 {
-		for _, s := range sims {
-			if err := check(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Parallel sweep: workers pull simplex indices from a shared cursor
-	// and record violations under the lowest index seen so far; indices
-	// above the current winner are skipped (early exit). The final
-	// winner is the first violation of the serial order.
-	errs := make([]error, len(sims))
-	failed := atomic.Int64{}
-	failed.Store(int64(len(sims)))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(sims) || int64(i) > failed.Load() {
-					return
-				}
-				if err := check(sims[i]); err != nil {
-					errs[i] = err
-					for {
-						cur := failed.Load()
-						if int64(i) >= cur || failed.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if idx := failed.Load(); idx < int64(len(sims)) {
-		return errs[idx]
-	}
-	return nil
+	})
+	return first.err
 }

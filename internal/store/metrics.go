@@ -4,7 +4,8 @@ package store
 // primitives in internal/obs: the api kit's request families plus the
 // store-specific counters, the compute-latency histogram and
 // scrape-time gauges over the mounted stores and the shared tower
-// cache.
+// cache, assembled into one obs.Registry with the process-global
+// families.
 
 import (
 	"fmt"
@@ -42,19 +43,33 @@ func newMetrics() *metrics {
 	}
 }
 
-// writeTo emits the full exposition: the counter/histogram families
-// plus scrape-time gauges over the mounted stores and the shared tower
-// cache.
-func (m *metrics) writeTo(w io.Writer, s *Server) {
-	m.http.Write(w)
-	m.storeHits.Write(w)
-	m.storeMisses.Write(w)
-	m.cacheHits.Write(w)
-	m.rehydrated.Write(w)
-	m.computed.Write(w)
-	m.persisted.Write(w)
-	m.computeSeconds.Write(w)
+// newTelemetry assembles the server's one exposition, written by its
+// /metrics and handed to a -debug-addr surface through Registry: the
+// request families, the per-n counters, the compute histogram,
+// scrape-time gauges over the mounted stores, the shared tower cache
+// and, last, the process-global families (runtime, census, solver).
+func (s *Server) newTelemetry() *obs.Registry {
+	m := s.m
+	reg := obs.NewRegistry()
+	reg.MustRegister("serve-http", m.http)
+	reg.MustRegister("serve-store-hits", m.storeHits)
+	reg.MustRegister("serve-store-misses", m.storeMisses)
+	reg.MustRegister("serve-entry-cache-hits", m.cacheHits)
+	reg.MustRegister("serve-rehydrated", m.rehydrated)
+	reg.MustRegister("serve-computed", m.computed)
+	reg.MustRegister("serve-persisted", m.persisted)
+	reg.MustRegister("serve-compute-seconds", m.computeSeconds)
+	reg.MustRegister("serve-stores", obs.CollectorFunc(s.writeStoreGauges))
+	// The cache's cheap exposition: counters and size gauges without
+	// Snapshot's per-tower level walk, so scrapes stay O(1) however
+	// large the cache grows.
+	reg.MustRegister("serve-tower-cache", s.tcache)
+	reg.Include(obs.Default)
+	return reg
+}
 
+// writeStoreGauges emits the scrape-time gauges over the mounted stores.
+func (s *Server) writeStoreGauges(w io.Writer) {
 	fmt.Fprintf(w, "# HELP factool_store_entries Entries resident in each mounted store.\n# TYPE factool_store_entries gauge\n")
 	mounts := s.reg.Mounts()
 	for _, mt := range mounts {
@@ -64,9 +79,4 @@ func (m *metrics) writeTo(w io.Writer, s *Server) {
 	for _, mt := range mounts {
 		fmt.Fprintf(w, "factool_presence_skips_total{n=%q} %d\n", fmt.Sprint(mt.N()), mt.Store().PresenceSkips())
 	}
-
-	// The cheap exposition path: counters and size gauges without
-	// Snapshot's per-tower level walk, so scrapes stay O(1) however
-	// large the cache grows.
-	s.tcache.WritePrometheus(w)
 }

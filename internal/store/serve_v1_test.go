@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -513,9 +514,29 @@ func TestServeMetrics(t *testing.T) {
 		"factool_request_seconds_count",
 		"factool_store_entries",
 		"factool_inflight_requests",
+		// The process-global families: the port serves the same one
+		// registry as a -debug-addr surface.
+		"factool_census_indices_examined_total",
+		"go_goroutines",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics exposition missing %s", want)
 		}
 	}
+	var reg strings.Builder
+	srv.Registry().WritePrometheus(&reg)
+	if got, want := typeLines(text), typeLines(reg.String()); !slices.Equal(got, want) {
+		t.Errorf("/metrics families differ from Registry():\n%v\n%v", got, want)
+	}
+}
+
+// typeLines returns the "# TYPE" lines of an exposition, in order.
+func typeLines(text string) []string {
+	var out []string
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			out = append(out, line)
+		}
+	}
+	return out
 }

@@ -48,6 +48,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/census"
 	"repro/internal/chromatic"
+	"repro/internal/obs"
 	"repro/internal/tasks"
 )
 
@@ -110,6 +111,9 @@ type Server struct {
 	tcache *chromatic.TowerCache
 	m      *metrics
 	mw     *api.Middleware
+	// telemetry is the one exposition /metrics writes and Registry
+	// returns.
+	telemetry *obs.Registry
 
 	mu     sync.RWMutex
 	states map[mountKey]*mountState
@@ -171,6 +175,7 @@ func NewServer(reg *Registry, opts ServerOptions) (*Server, error) {
 		Auth:      opts.Auth,
 		AccessLog: opts.AccessLog,
 	})
+	s.telemetry = s.newTelemetry()
 	for _, mt := range reg.Mounts() {
 		if _, err := s.state(mt.N(), mt.Task()); err != nil {
 			return nil, err
@@ -222,6 +227,11 @@ func (s *Server) state(n int, task string) (*mountState, error) {
 	s.states[key] = ms
 	return ms, nil
 }
+
+// Registry returns the server's telemetry registry — its own families
+// plus the included process-global ones, exactly what /metrics writes —
+// so a -debug-addr surface can serve the same exposition.
+func (s *Server) Registry() *obs.Registry { return s.telemetry }
 
 // SetDraining flips readiness: /readyz answers 503 while true, so load
 // balancers stop routing before the listener drains.
@@ -810,7 +820,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.m.writeTo(w, s)
+	s.telemetry.WritePrometheus(w)
 }
 
 // stripOrbitSize normalizes a stored entry for query responses: the
