@@ -5,7 +5,7 @@ PKG ?= ./...
 
 # Hot paths gated by the CI bench-track job (>20% ns/op, allocs/op, or
 # custom-metric — e.g. serve p99 — regressions fail).
-BENCH_TRACK ?= ApplyAffine|Solve|Census|Orbit|Serve
+BENCH_TRACK ?= ApplyAffine|Solve|Census|Orbit|Serve|VerifyWitness
 
 .PHONY: all build test race bench bench-track fmt vet ci
 

@@ -3,7 +3,7 @@ package fact
 // Benchmarks for the sharded census engine and the parallel witness
 // verifier: throughput scaling with the worker count over the n=3
 // Figure 2 domain (classification) and the n=2 domain (full solve
-// sweep), plus serial-vs-parallel VerifyWitness on a solved instance.
+// sweep), plus the witness check on solved n=3 and n=4 instances.
 
 import (
 	"fmt"
@@ -75,37 +75,46 @@ func BenchmarkCensusSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyWitness compares the serial and parallel witness
-// sweeps on 2-set consensus over R_{1-res}(3), reusing one cached tower
-// so only the carried-by-Δ verification is measured.
+// BenchmarkVerifyWitness measures the witness check on 2-set consensus
+// over R_{1-res}: serial against parallel at n=3, and serial at n=4,
+// the check a census solve job runs on every solvable entry. Each case
+// reuses one cached tower, so only the check itself is measured.
 func BenchmarkVerifyWitness(b *testing.B) {
-	u := chromatic.NewUniverse(3)
-	ra, err := affine.BuildRAForAdversary(u, adversary.TResilient(3, 1), affine.DefaultVariant)
-	if err != nil {
-		b.Fatal(err)
-	}
-	task := tasks.KSetConsensus(3, 2)
-	cache := chromatic.NewTowerCache()
-	res, err := solver.SolveAffineWith(task, ra, 1, solver.Options{Cache: cache})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !res.Solvable {
-		b.Fatal("instance should be solvable")
-	}
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				err := solver.VerifyWitnessTables(task, ra, res.Rounds, res.Map, solver.Options{
-					Workers:  workers,
-					Cache:    cache,
-					CacheKey: ra.Signature(),
-				})
-				if err != nil {
-					b.Fatal(err)
+	for _, c := range []struct {
+		n       int
+		workers []int
+	}{
+		{3, []int{1, 4, 8}},
+		{4, []int{1}},
+	} {
+		u := chromatic.NewUniverse(c.n)
+		ra, err := affine.BuildRAForAdversary(u, adversary.TResilient(c.n, 1), affine.DefaultVariant)
+		if err != nil {
+			b.Fatal(err)
+		}
+		task := tasks.KSetConsensus(c.n, 2)
+		cache := chromatic.NewTowerCache()
+		res, err := solver.SolveAffineWith(task, ra, 1, solver.Options{Cache: cache})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Solvable {
+			b.Fatal("instance should be solvable")
+		}
+		for _, workers := range c.workers {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", c.n, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					err := solver.VerifyWitnessTables(task, ra, res.Rounds, res.Map, solver.Options{
+						Workers:  workers,
+						Cache:    cache,
+						CacheKey: ra.Signature(),
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

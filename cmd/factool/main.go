@@ -268,11 +268,17 @@ func adversaryFlags(fs *flag.FlagSet) (n *int, kind *string, t *int, k *int) {
 	return
 }
 
+// maxAdversaryProcs bounds the shared -n flag well below
+// procs.MaxProcs: the family constructors materialise up to 2^n − 1
+// live sets, so on a 2-vCPU VM the wait-free adversary takes about
+// 1.5 s at n=16 and 4 s at n=17, and runs out of memory at n=32.
+const maxAdversaryProcs = 16
+
 // buildAdversary builds the adversary the shared flags select. Flag
 // values out of range are usage errors of fs's subcommand.
 func buildAdversary(fs *flag.FlagSet, n int, kind string, t, k int) (*adversary.Adversary, error) {
-	if n < 1 || n > procs.MaxProcs {
-		return nil, usagef(fs, "%s: -n must be in [1,%d], got %d", fs.Name(), procs.MaxProcs, n)
+	if n < 1 || n > maxAdversaryProcs {
+		return nil, usagef(fs, "%s: -n must be in [1,%d], got %d", fs.Name(), maxAdversaryProcs, n)
 	}
 	switch kind {
 	case "waitfree":
@@ -283,6 +289,9 @@ func buildAdversary(fs *flag.FlagSet, n int, kind string, t, k int) (*adversary.
 		}
 		return adversary.TResilient(n, t), nil
 	case "kof":
+		if k < 1 || k > n {
+			return nil, usagef(fs, "%s: -k must be in [1,%d] for n=%d, got %d", fs.Name(), n, n, k)
+		}
 		return adversary.KObstructionFree(n, k), nil
 	case "fig5b":
 		if n != 3 {

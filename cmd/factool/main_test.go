@@ -290,7 +290,12 @@ func TestExitCodes(t *testing.T) {
 		// Out-of-range values are usage errors, not panics or wrapped
 		// counts.
 		{[]string{"loadtest", "-url", "http://127.0.0.1:1", "-n", "7"}, 2}, // census domain past uint64
-		{[]string{"adversary", "-n", "33"}, 2},                             // beyond procs.MaxProcs
+		{[]string{"adversary", "-n", "33"}, 2},                             // beyond procs.MaxProcs too
+		{[]string{"adversary", "-n", "17"}, 2},                             // beyond maxAdversaryProcs
+		{[]string{"adversary", "-n", "3", "-kind", "kof", "-k", "0"}, 2},   // the empty adversary
+		{[]string{"adversary", "-n", "3", "-kind", "kof", "-k", "4"}, 2},
+		{[]string{"solve", "-n", "3", "-kind", "kof", "-k", "0"}, 2},
+		{[]string{"adversary", "-n", "3", "-kind", "kof", "-k", "3"}, 0},
 		{[]string{"affine", "-n", "0"}, 2},
 		{[]string{"solve", "-n", "0"}, 2},
 		{[]string{"simulate", "-n", "0"}, 2},

@@ -56,14 +56,15 @@ var FullChr2Membership Membership = func(Run2, RunKey) bool { return true }
 
 // Iterated is one level of affine-task application over a base complex:
 // the sub-complex of Chr²(base) selected by the membership table, with
-// per-vertex carriers into the base complex.
+// per-vertex carriers into the base complex: a table indexed by the
+// VertexIDs the engine assigns densely from 0. A level of a Tower also
+// holds its root-carrier table (see Tower.RootCarriers).
 type Iterated struct {
-	Base    *sc.Complex
 	Complex *sc.Complex
 
-	carrier map[sc.VertexID]sc.Simplex
+	carrier []sc.Simplex
+	root    []sc.Simplex
 	interns map[string]sc.VertexID
-	next    sc.VertexID
 }
 
 // ErrNotChromaticBase is returned when the base complex is not chromatic.
@@ -82,9 +83,7 @@ func ApplyAffineTables(base *sc.Complex, tables MemberTables, workers int) (*Ite
 		return nil, err
 	}
 	it := &Iterated{
-		Base:    base,
 		Complex: sc.NewComplex(base.Colors()),
-		carrier: make(map[sc.VertexID]sc.Simplex),
 		interns: make(map[string]sc.VertexID),
 	}
 	if workers == 1 {
@@ -409,9 +408,8 @@ func (it *Iterated) internRec(rec *vertexRec) sc.VertexID {
 
 // register assigns the next vertex ID to a fresh (key, carrier) pair.
 func (it *Iterated) register(key string, color int, carrier sc.Simplex) sc.VertexID {
-	id := it.next
-	it.next++
-	it.carrier[id] = carrier
+	id := sc.VertexID(len(it.carrier))
+	it.carrier = append(it.carrier, carrier)
 	// The key is binary; label with the (unique) ID and the carrier,
 	// which is what diagnostics actually read.
 	label := fmt.Sprintf("c%d#%d@%v", color, id, carrier)
@@ -448,36 +446,26 @@ func appendVertexID(buf []byte, v sc.VertexID) []byte {
 // contains).
 func (it *Iterated) Carrier(v sc.VertexID) sc.Simplex { return it.carrier[v] }
 
-// SimplexCarrier returns the carrier of a simplex: the union of the
-// carriers of its vertices.
-func (it *Iterated) SimplexCarrier(s sc.Simplex) sc.Simplex {
-	var out sc.Simplex
-	for _, v := range s {
-		out = out.Union(it.carrier[v])
-	}
-	return out
-}
-
 // Tower is an iterated application L^ℓ(I): level 0 is the input complex,
 // each extension applies an affine task (or full Chr²) to the top.
 //
 // Towers come only from TowerCache.Acquire and grow only through
-// CachedTower.EnsureHeightTables, which serializes extensions. A Tower
-// may be shared by concurrent readers: carrier queries and level access
-// are mutex-guarded.
+// CachedTower.EnsureHeightTables, which serializes extensions. Each
+// level is built together with its root-carrier table and never written
+// once published, so a Tower may be shared by concurrent readers; level
+// access is mutex-guarded.
 type Tower struct {
 	Input  *sc.Complex
 	Levels []*Iterated
 
-	workers   int
-	mu        sync.Mutex
-	rootCache map[int]map[sc.VertexID]sc.Simplex
+	workers int
+	mu      sync.Mutex
 }
 
 // newTower starts a tower over the given input complex whose extensions
 // run on workers goroutines, resolved by par.Workers.
 func newTower(input *sc.Complex, workers int) *Tower {
-	return &Tower{Input: input, workers: workers, rootCache: make(map[int]map[sc.VertexID]sc.Simplex)}
+	return &Tower{Input: input, workers: workers}
 }
 
 // Top returns the current top complex (the input when no levels exist).
@@ -497,11 +485,24 @@ func (t *Tower) LevelComplex(level int) *sc.Complex {
 }
 
 // extend applies one round of the affine task, given by its
-// membership-table provider, to the top of the tower.
+// membership-table provider, to the top of the tower, and builds the
+// new level's root-carrier table before publishing the level: level 1's
+// base is the input, so its carriers are its root carriers; above, a
+// vertex's root carrier is the union of the root carriers of its
+// carrier's vertices one level down.
 func (t *Tower) extend(tables MemberTables) error {
 	it, err := ApplyAffineTables(t.Top(), tables, t.workers)
 	if err != nil {
 		return err
+	}
+	it.root = it.carrier
+	if below := t.RootCarriers(t.Height()); below != nil {
+		it.root = make([]sc.Simplex, len(it.carrier))
+		for v, c := range it.carrier {
+			for _, u := range c {
+				it.root[v] = it.root[v].Union(below[u])
+			}
+		}
 	}
 	t.mu.Lock()
 	t.Levels = append(t.Levels, it)
@@ -547,49 +548,16 @@ func (t *Tower) Height() int {
 	return len(t.Levels)
 }
 
-// RootCarrier returns the carrier of a top-level vertex all the way down
-// in the input complex.
-func (t *Tower) RootCarrier(v sc.VertexID) sc.Simplex {
-	return t.RootCarrierAt(t.Height(), v)
-}
-
-// RootCarrierAt returns the input-complex carrier of a vertex of the
-// level-`level` complex.
-func (t *Tower) RootCarrierAt(level int, v sc.VertexID) sc.Simplex {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.carrierAt(level, v)
-}
-
-// RootCarrierOfAt returns the root carrier of a simplex of the
-// level-`level` complex.
-func (t *Tower) RootCarrierOfAt(level int, s sc.Simplex) sc.Simplex {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out sc.Simplex
-	for _, v := range s {
-		out = out.Union(t.carrierAt(level, v))
-	}
-	return out
-}
-
-// carrierAt computes carriers recursively; callers must hold t.mu.
-func (t *Tower) carrierAt(level int, v sc.VertexID) sc.Simplex {
+// RootCarriers returns the root-carrier table of the level-`level`
+// complex, indexed by VertexID: entry v is the carrier of vertex v in
+// the input complex. The table is read-only and may be kept after the
+// call. Level 0, the input itself, has no table and returns nil: an
+// input vertex is its own root carrier.
+func (t *Tower) RootCarriers(level int) []sc.Simplex {
 	if level == 0 {
-		return sc.Simplex{v}
+		return nil
 	}
-	if cached, ok := t.rootCache[level]; ok {
-		if s, ok := cached[v]; ok {
-			return s
-		}
-	} else {
-		t.rootCache[level] = make(map[sc.VertexID]sc.Simplex)
-	}
-	it := t.Levels[level-1]
-	var out sc.Simplex
-	for _, u := range it.Carrier(v) {
-		out = out.Union(t.carrierAt(level-1, u))
-	}
-	t.rootCache[level][v] = out
-	return out
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.Levels[level-1].root
 }

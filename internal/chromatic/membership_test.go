@@ -155,8 +155,9 @@ func TestArenaReuseAcrossTowerLevels(t *testing.T) {
 	if w1.Top().Hash() != w8.Top().Hash() {
 		t.Fatal("tower hashes differ between 1 and 8 workers")
 	}
+	roots1, roots8 := w1.RootCarriers(2), w8.RootCarriers(2)
 	for _, v := range w1.Top().VertexIDs() {
-		if !w1.RootCarrier(v).Equal(w8.RootCarrier(v)) {
+		if !roots1[v].Equal(roots8[v]) {
 			t.Fatalf("root carrier of %d differs", v)
 		}
 	}

@@ -85,8 +85,9 @@ func TestTowerParallelDeterminism(t *testing.T) {
 	if !serial.Top().Equal(parallel.Top()) {
 		t.Fatal("tower tops differ")
 	}
+	serialRoots, parallelRoots := serial.RootCarriers(2), parallel.RootCarriers(2)
 	for _, v := range serial.Top().VertexIDs() {
-		if !serial.RootCarrier(v).Equal(parallel.RootCarrier(v)) {
+		if !serialRoots[v].Equal(parallelRoots[v]) {
 			t.Fatalf("root carrier of %d differs", v)
 		}
 	}

@@ -31,42 +31,6 @@ func (m Map) Apply(s Simplex) Simplex {
 	return slices.Compact(img)
 }
 
-// VerifySimplicial checks that m maps every vertex of from into to and
-// every simplex of from onto a simplex of to.
-func (m Map) VerifySimplicial(from, to *Complex) error {
-	for _, id := range from.VertexIDs() {
-		img, ok := m[id]
-		if !ok {
-			return fmt.Errorf("%w: vertex %d", ErrPartialMap, id)
-		}
-		if _, ok := to.Vertex(img); !ok {
-			return fmt.Errorf("%w: image vertex %d not in codomain", ErrNotSimplicial, img)
-		}
-	}
-	for _, s := range from.Simplices() {
-		if !to.HasSimplex(m.Apply(s)) {
-			return fmt.Errorf("%w: image of %v missing", ErrNotSimplicial, s)
-		}
-	}
-	return nil
-}
-
-// VerifyChromatic checks color preservation: χ(v) = χ(m(v)). A chromatic
-// simplicial map is automatically non-collapsing.
-func (m Map) VerifyChromatic(from, to *Complex) error {
-	for _, id := range from.VertexIDs() {
-		v, _ := from.Vertex(id)
-		img, ok := to.Vertex(m[id])
-		if !ok {
-			return fmt.Errorf("%w: image of %d missing", ErrNotSimplicial, id)
-		}
-		if v.Color != img.Color {
-			return fmt.Errorf("%w: vertex %d color %d -> %d", ErrNotChromaticM, id, v.Color, img.Color)
-		}
-	}
-	return nil
-}
-
 // CarrierMap maps simplices of a domain complex to sub-complexes of a
 // codomain, given extensionally as the set of simplices allowed as
 // images. It must be monotonic: ρ ⊆ σ implies Φ(ρ) ⊆ Φ(σ).

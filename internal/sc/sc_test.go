@@ -218,52 +218,6 @@ func TestCloneEqual(t *testing.T) {
 	}
 }
 
-func TestSimplicialMapVerification(t *testing.T) {
-	// Map Chr-like edge subdivision onto the standard simplex.
-	dom := NewComplex(2)
-	for i, col := range []int{0, 1, 0} {
-		if err := dom.AddVertex(VertexID(i), col, "v"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustAdd(t, dom, 0, 1)
-	mustAdd(t, dom, 1, 2)
-	cod := standard(t, 2)
-
-	m := Map{0: 0, 1: 1, 2: 0}
-	if err := m.VerifySimplicial(dom, cod); err != nil {
-		t.Errorf("expected simplicial: %v", err)
-	}
-	if err := m.VerifyChromatic(dom, cod); err != nil {
-		t.Errorf("expected chromatic: %v", err)
-	}
-
-	// Non-chromatic variant.
-	bad := Map{0: 1, 1: 0, 2: 0}
-	if err := bad.VerifyChromatic(dom, cod); !errors.Is(err, ErrNotChromaticM) {
-		t.Errorf("want ErrNotChromaticM, got %v", err)
-	}
-
-	// Partial map.
-	partial := Map{0: 0}
-	if err := partial.VerifySimplicial(dom, cod); !errors.Is(err, ErrPartialMap) {
-		t.Errorf("want ErrPartialMap, got %v", err)
-	}
-
-	// Non-simplicial: image edge {0,1}->{0},{1} fine, but force a missing
-	// simplex by mapping into a codomain lacking the edge.
-	edgeless := NewComplex(2)
-	if err := edgeless.AddVertex(0, 0, "a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := edgeless.AddVertex(1, 1, "b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.VerifySimplicial(dom, edgeless); !errors.Is(err, ErrNotSimplicial) {
-		t.Errorf("want ErrNotSimplicial, got %v", err)
-	}
-}
-
 func TestCarrierVerification(t *testing.T) {
 	dom := standard(t, 2)
 	cod := standard(t, 2)

@@ -183,13 +183,13 @@ func searchMap(tower *chromatic.Tower, level int, task *tasks.Task, workers, lim
 		ov, _ := task.Output.Vertex(o)
 		outByColor[ov.Color] = append(outByColor[ov.Color], o)
 	}
+	roots := tower.RootCarriers(level)
 	domains := make([][]sc.VertexID, size)
 	for _, v := range vertices {
 		vv, _ := top.Vertex(v)
-		carrier := tower.RootCarrierAt(level, v)
 		var cands []sc.VertexID
 		for _, o := range outByColor[vv.Color] {
-			if task.VertexAllowed(carrier, o) {
+			if task.VertexAllowed(roots[v], o) {
 				cands = append(cands, o)
 			}
 		}
@@ -206,7 +206,7 @@ func searchMap(tower *chromatic.Tower, level int, task *tasks.Task, workers, lim
 		for _, v := range f {
 			vertexFacets[v] = append(vertexFacets[v], fi)
 		}
-		facetCarriers[fi] = tower.RootCarrierOfAt(level, f)
+		facetCarriers[fi] = rootCarrierOf(roots, f)
 	}
 
 	assign := make([]sc.VertexID, size)
@@ -434,19 +434,53 @@ func (s *searcher) solve() (bool, error) {
 	return false, nil
 }
 
-// VerifyWitnessTables re-validates a returned map independently:
-// simplicial, chromatic, and carried by Δ on every simplex of the
-// subdivision L^rounds(I), L given by its membership-table provider
-// (affine.Task is one; the census engine passes it directly). Used by
-// tests and the census engine to guard against solver bugs. The simplex
-// sweep fans out through par.For on opts.Workers goroutines; simplices
-// are checked in the deterministic sorted simplex order, every index
-// above the lowest violation found so far is skipped, and that lowest
-// violation is the error returned, so it is identical for every worker
-// count. When opts.Cache and opts.CacheKey are set the iterated
-// subdivision is acquired from (and shared through) the cache instead
-// of being rebuilt.
+// rootCarrierOf returns the root carrier of a simplex of a tower level:
+// the union of its vertices' entries in the level's root-carrier table,
+// gathered into one allocation. A nil table is level 0's, where every
+// simplex is its own root carrier.
+func rootCarrierOf(roots []sc.Simplex, s sc.Simplex) sc.Simplex {
+	if roots == nil {
+		return s
+	}
+	n := 0
+	for _, v := range s {
+		n += len(roots[v])
+	}
+	out := make(sc.Simplex, 0, n)
+	for _, v := range s {
+		out = append(out, roots[v]...)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// VerifyWitnessTables re-validates a returned map independently on
+// every simplex of the subdivision L^rounds(I), L given by its
+// membership-table provider (affine.Task is one; the census engine
+// passes it directly); rounds 0 checks a map from I itself. Tests and
+// the census engine use it to guard against solver bugs, so it checks
+// every simplex rather than rely on the tasks.Task contract that facets
+// suffice.
+//
+// One pass over the level's vertices, in ascending order, requires an
+// image (sc.ErrPartialMap) that is a vertex of O (sc.ErrNotSimplicial)
+// of the same color (sc.ErrNotChromaticM). One sweep over the sorted
+// simplices then maps each once and requires a simplex of O
+// (sc.ErrNotSimplicial) that Δ allows under the simplex's root carrier,
+// read from the level's root-carrier table. The sweep fans out through
+// par.For on opts.Workers goroutines; every index above the lowest
+// violation found so far is skipped, and that lowest violation is the
+// error returned, so it is identical for every worker count. When
+// opts.Cache and opts.CacheKey are set the iterated subdivision is
+// acquired from (and shared through) the cache instead of being
+// rebuilt.
 func VerifyWitnessTables(task *tasks.Task, tables chromatic.MemberTables, rounds int, m sc.Map, opts Options) error {
+	if err := task.Validate(); err != nil {
+		return err
+	}
+	if rounds < 0 {
+		return fmt.Errorf("%w: rounds %d", ErrBadInput, rounds)
+	}
 	workers := par.Workers(opts.Workers)
 	cached := acquireTower(opts, task.Input, workers)
 	defer cached.Release()
@@ -455,12 +489,20 @@ func VerifyWitnessTables(task *tasks.Task, tables chromatic.MemberTables, rounds
 	}
 	tower := cached.Tower()
 	top := tower.LevelComplex(rounds)
-	if err := m.VerifySimplicial(top, task.Output); err != nil {
-		return err
+	for _, id := range top.VertexIDs() {
+		img, ok := m[id]
+		if !ok {
+			return fmt.Errorf("%w: vertex %d", sc.ErrPartialMap, id)
+		}
+		iv, ok := task.Output.Vertex(img)
+		if !ok {
+			return fmt.Errorf("%w: image vertex %d not in codomain", sc.ErrNotSimplicial, img)
+		}
+		if v, _ := top.Vertex(id); v.Color != iv.Color {
+			return fmt.Errorf("%w: vertex %d color %d -> %d", sc.ErrNotChromaticM, id, v.Color, iv.Color)
+		}
 	}
-	if err := m.VerifyChromatic(top, task.Output); err != nil {
-		return err
-	}
+	roots := tower.RootCarriers(rounds)
 	sims := top.Simplices() // deterministic sorted order
 	first := newWinnerState(len(sims))
 	par.For(len(sims), workers, func(_, i int) {
@@ -469,7 +511,11 @@ func VerifyWitnessTables(task *tasks.Task, tables chromatic.MemberTables, rounds
 		}
 		s := sims[i]
 		img := m.Apply(s)
-		carrier := tower.RootCarrierOfAt(rounds, s)
+		if !task.Output.HasSimplex(img) {
+			first.record(i, fmt.Errorf("%w: image of %v missing", sc.ErrNotSimplicial, s))
+			return
+		}
+		carrier := rootCarrierOf(roots, s)
 		for _, o := range img {
 			if !task.VertexAllowed(carrier, o) {
 				first.record(i, fmt.Errorf("vertex map not carried at %v", s))
