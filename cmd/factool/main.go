@@ -618,7 +618,7 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	cacheEntries := fs.Int("cache-entries", 4096, "per-store in-memory entry LRU capacity")
 	cacheMB := fs.Int64("cachemb", 0, "tower-cache byte budget in MiB for live solves, shared by all mounts (0 = unbounded)")
-	rounds := fs.Int("rounds", 1, "default maximum iterations of R_A for /v1/solve")
+	rounds := fs.Int("rounds", 1, "default maximum iterations of R_A for /v1/solve, in [1,4]")
 	readonly := fs.Bool("readonly", false, "do not persist live-computed answers to the stores")
 	apikeys := fs.String("apikeys", "", "API-key file (name:key[:rate[:burst]] lines); enables 401/429 auth")
 	metricsOn := fs.Bool("metrics", true, "expose the Prometheus /metrics endpoint")
@@ -628,6 +628,10 @@ func cmdServe(args []string) error {
 	debugAddr, tracePath := debugFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
+	}
+	// The range /v1/solve?rounds= accepts.
+	if *rounds < 1 || *rounds > 4 {
+		return usagef(fs, "serve: -rounds must be in [1,4], got %d", *rounds)
 	}
 	dirs := []string(storeDirs)
 	if *storesGlob != "" {

@@ -304,6 +304,8 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"chr", "-n", "12"}, 2}, // Chr² facet count past uint64
 		{[]string{"chr", "-n", "0"}, 2},
 		{[]string{"chr", "-n", "11"}, 0},
+		{[]string{"serve", "-store", "/nonexistent-store-dir", "-rounds", "9"}, 2}, // past /v1/solve's rounds range
+		{[]string{"serve", "-store", "/nonexistent-store-dir", "-rounds", "0"}, 2},
 	}
 	for _, c := range cases {
 		var got int

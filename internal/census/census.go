@@ -12,22 +12,22 @@
 // the stabilizer-aware generator (adversary.Orbits.ForEachCanonicalFrom),
 // never visiting the non-canonical bulk, and weights the aggregates by
 // orbit size, cutting the swept domain by up to n! while reporting the
-// same totals. A bounded worker pool classifies (and optionally solves)
-// the adversaries of each block; completed blocks pass through a
-// bounded reorder buffer that emits entries to a pluggable Sink in
-// strict enumeration order, so every report and stream is
-// byte-identical for every worker count while memory stays
-// O(workers × ShardSize) entries — no full-domain slice, which is what
-// lifts the engine from the MaxDomain cap toward the n=5 domain of 2^31
-// adversaries. Periodic checkpoints record the raw-index frontier plus
-// the running aggregates, so an interrupted campaign resumes where it
-// left off with byte-identical final output.
+// same totals. A bounded worker pool claims the blocks in sequence
+// order and classifies (and optionally solves) the adversaries of each;
+// completed blocks pass through a bounded reorder buffer that emits
+// entries to a pluggable Sink in strict enumeration order, so every
+// report and stream is byte-identical for every worker count while
+// memory stays O(workers × ShardSize) entries — no full-domain slice,
+// which is what lifts the engine from the MaxDomain cap toward the n=5
+// domain of 2^31 adversaries. Periodic checkpoints record the raw-index
+// frontier plus the running aggregates, so an interrupted campaign
+// resumes where it left off with byte-identical final output.
 //
-// All solve jobs of one run share a single chromatic.Universe (one Chr²
-// vertex identity space per n) and a single chromatic.TowerCache
-// (iterated subdivisions built once per distinct R_A signature, LRU
-// eviction under an optional byte budget), which is what makes
-// whole-landscape sweeps tractable.
+// All solve jobs of one run share one built task, a single
+// chromatic.Universe (one Chr² vertex identity space per n) and a
+// single chromatic.TowerCache (iterated subdivisions built once per
+// distinct R_A signature, LRU eviction under an optional byte budget),
+// which is what makes whole-landscape sweeps tractable.
 package census
 
 import (
@@ -379,7 +379,7 @@ func Stream(n int, opts Options, sink Sink) (*Report, error) {
 	sweep := env.tracer.Start("census.sweep", opts.TraceParent,
 		"n", strconv.Itoa(n),
 		"orbits", strconv.FormatBool(opts.Orbits),
-		"solve", strconv.FormatBool(env.solve),
+		"solve", strconv.FormatBool(env.task != nil),
 		"start", strconv.FormatUint(start, 10),
 		"end", strconv.FormatUint(end, 10))
 	defer sweep.End()
@@ -427,30 +427,17 @@ func Stream(n int, opts Options, sink Sink) (*Report, error) {
 	// a full sweep (the trivial group: orbit size 0, so entries carry no
 	// orbit_size and weigh 1), or the canonical representatives of an
 	// orbit sweep — and slices them into blocks of shardSize indices;
-	// workers claim blocks. The channel capacity plus the reorder window
-	// bound the prefetched blocks, so memory stays O(workers×ShardSize).
-	//
-	// Solve sweeps insert the big-orbit-first scheduler between the
-	// producer and the workers: blocks are dispatched heaviest-first
-	// within a lookahead bounded by the emitter's reorder window, so the
-	// most expensive solve blocks start earliest (shorter stragglers fill
-	// the tail) while the emitted stream stays in sequence order —
-	// byte-identical to unscheduled dispatch. Full-sweep blocks all
-	// weigh 0, so their dispatch stays FIFO.
+	// workers claim blocks in sequence order, whatever the mode. The
+	// channel capacity plus the reorder window bound the prefetched
+	// blocks, so memory stays O(workers×ShardSize).
 	walk := walkAll(total)
 	if opts.Orbits {
 		walk = adversary.NewOrbits(n).ForEachCanonicalFrom
 	}
-	produced := make(chan orbitBlock, workers*4)
+	blocks := make(chan orbitBlock, workers*4)
 	prodQuit := make(chan struct{})
 	defer close(prodQuit)
-	go produceOrbitBlocks(walk, produced, prodQuit, start, end, shardSize)
-	var blocks <-chan orbitBlock = produced
-	if env.solve {
-		scheduled := make(chan orbitBlock)
-		go scheduleBigOrbitFirst(produced, scheduled, prodQuit, uint64(workers)*4)
-		blocks = scheduled
-	}
+	go produceOrbitBlocks(walk, blocks, prodQuit, start, end, shardSize)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -541,7 +528,7 @@ func Stream(n int, opts Options, sink Sink) (*Report, error) {
 		rep.Incomplete = true
 		rep.NextIndex = em.frontierIdx
 	}
-	if env.solve {
+	if env.task != nil {
 		if env.spec.IsKSet() {
 			rep.Summary.KTask = env.spec.Param("k")
 		} else {
@@ -673,89 +660,6 @@ func produceOrbitBlocks(walk indexWalk, out chan<- orbitBlock, quit <-chan struc
 	select {
 	case out <- blk:
 	case <-quit:
-	}
-}
-
-// blockWeight is the big-orbit-first scheduling key of an orbit block:
-// its total orbit weight (the number of raw adversaries the block
-// accounts for). Large total weight means many asymmetric
-// representatives — the blocks whose solve jobs dominate a sweep's wall
-// clock — so dispatching them first keeps the cheap symmetric blocks
-// for the tail, the longest-processing-time-first heuristic.
-func blockWeight(b orbitBlock) uint64 {
-	var w uint64
-	for _, r := range b.reps {
-		w += r.size
-	}
-	return w
-}
-
-// scheduleBigOrbitFirst re-orders orbit-block dispatch for solve-mode
-// sweeps: among the buffered blocks it always hands workers the
-// heaviest (blockWeight, ties to the lower sequence number) first.
-// Emission order is untouched — the reorder buffer still emits blocks
-// strictly by sequence — so the output is byte-identical to FIFO
-// dispatch; only the wall-clock shape changes.
-//
-// The lookahead is bounded two ways: at most `lookahead` blocks are
-// buffered, and no buffered block's sequence number runs `lookahead` or
-// more past the lowest undispatched one. The second bound is the
-// liveness invariant: every dispatched block then satisfies
-// seq < lowestUndispatched + lookahead ≤ frontier + emitter window, so
-// a worker holding a scheduled block always clears the emitter's
-// waitTurn throttle and the frontier block cannot be starved behind
-// stalled workers.
-func scheduleBigOrbitFirst(in <-chan orbitBlock, out chan<- orbitBlock, quit <-chan struct{}, lookahead uint64) {
-	defer close(out)
-	if lookahead < 1 {
-		lookahead = 1
-	}
-	var buf []orbitBlock
-	nextSeq := uint64(0) // sequence number of the next block to arrive
-	open := true
-	for {
-		for open && uint64(len(buf)) < lookahead {
-			if len(buf) > 0 {
-				minSeq := buf[0].seq
-				for _, b := range buf[1:] {
-					if b.seq < minSeq {
-						minSeq = b.seq
-					}
-				}
-				if nextSeq >= minSeq+lookahead {
-					break // sequence window exhausted until minSeq goes out
-				}
-			}
-			select {
-			case b, ok := <-in:
-				if !ok {
-					open = false
-				} else {
-					buf = append(buf, b)
-					nextSeq = b.seq + 1
-				}
-			case <-quit:
-				return
-			}
-		}
-		if len(buf) == 0 {
-			return
-		}
-		best := 0
-		bw := blockWeight(buf[0])
-		for i := 1; i < len(buf); i++ {
-			if w := blockWeight(buf[i]); w > bw || (w == bw && buf[i].seq < buf[best].seq) {
-				best, bw = i, w
-			}
-		}
-		b := buf[best]
-		buf[best] = buf[len(buf)-1]
-		buf = buf[:len(buf)-1]
-		select {
-		case out <- b:
-		case <-quit:
-			return
-		}
 	}
 }
 

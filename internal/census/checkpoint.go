@@ -78,7 +78,7 @@ func (env *runEnv) fingerprint(orbits bool, family *familyFilter) string {
 		taskSeg = fmt.Sprintf("k=%d", env.spec.Param("k"))
 	}
 	fp := fmt.Sprintf("census:v%d:n=%d:orbits=%t:solve=%t:%s:rounds=%d:verify=%t",
-		checkpointVersion, env.n, orbits, env.solve, taskSeg, env.maxRounds, env.verify)
+		checkpointVersion, env.n, orbits, env.task != nil, taskSeg, env.maxRounds, env.verify)
 	if family != nil {
 		fp += ":family=" + family.canonical
 	}

@@ -26,7 +26,7 @@ type runEnv struct {
 	all       []procs.Set
 	universe  *chromatic.Universe
 	cache     *chromatic.TowerCache
-	solve     bool
+	task      *tasks.Task // the task solve jobs decide; nil classifies only
 	spec      tasks.Spec
 	taskField string // Entry.Task value: the spec string, "" for kset
 	taskLabel string // metric label: the spec string when solving, "classify" otherwise
@@ -36,23 +36,22 @@ type runEnv struct {
 }
 
 // newRunEnv normalizes the examination-shaping options into the shared
-// environment: whether to solve (a non-empty Options.Task), the task
-// spec (kset:k=1 for classify runs, which only fingerprint it),
-// defaulted rounds, a Universe (the run-private default, or
+// environment: the task a non-empty Options.Task names, built once for
+// every solve job (so a spec that cannot be built fails the run up
+// front), its spec (kset:k=1 for classify runs, which only fingerprint
+// it), defaulted rounds, a Universe (the run-private default, or
 // opts.Universe to share e.g. chromatic.SharedUniverse across engines),
 // and a TowerCache (opts.Cache, or a private unbounded one).
 func newRunEnv(n int, opts Options) (*runEnv, error) {
-	solve := opts.Task != ""
+	var task *tasks.Task
 	spec := tasks.KSetSpec(1)
 	taskLabel := classifyTaskLabel
-	if solve {
+	if opts.Task != "" {
 		var err error
 		if spec, err = tasks.ParseSpec(opts.Task); err != nil {
 			return nil, fmt.Errorf("census: %w", err)
 		}
-		// Build the task once so a spec that cannot be built fails the
-		// run up front, not per examined index.
-		if _, err := spec.Build(n); err != nil {
+		if task, err = spec.Build(n); err != nil {
 			return nil, fmt.Errorf("census: %w", err)
 		}
 		taskLabel = spec.String()
@@ -82,7 +81,7 @@ func newRunEnv(n int, opts Options) (*runEnv, error) {
 		all:       adversary.EnumerationDomain(n),
 		universe:  universe,
 		cache:     cache,
-		solve:     solve,
+		task:      task,
 		spec:      spec,
 		taskField: taskField,
 		taskLabel: taskLabel,
@@ -94,8 +93,9 @@ func newRunEnv(n int, opts Options) (*runEnv, error) {
 
 // examine classifies (and optionally solves) the adversary at one
 // enumeration index, recording a census.solve span under parent when a
-// solve job runs. Pure per index: no cross-shard state beyond the
-// concurrency-safe Universe and TowerCache, so concurrent calls are
+// solve job runs. Pure per index: calls share only the
+// concurrency-safe Universe and TowerCache, and the task, which solve
+// jobs only read (its Δ closures are pure), so concurrent calls are
 // safe.
 func (env *runEnv) examine(idx uint64, parent obs.SpanID) (Entry, error) {
 	censusIndicesExamined.With(env.taskLabel).Add(1)
@@ -119,10 +119,10 @@ func (env *runEnv) examine(idx uint64, parent obs.SpanID) (Entry, error) {
 	// from them know which task their solve verdicts answer. The kset
 	// path leaves the field empty: its JSONL predates task specs and
 	// must stay byte-identical.
-	if env.solve {
+	if env.task != nil {
 		e.Task = env.taskField
 	}
-	if !env.solve || !e.Fair || e.Setcon < 1 {
+	if env.task == nil || !e.Fair || e.Setcon < 1 {
 		return e, nil
 	}
 	// Solve jobs run serially inside each worker (Workers: 1): the
@@ -135,13 +135,7 @@ func (env *runEnv) examine(idx uint64, parent obs.SpanID) (Entry, error) {
 		return e, fmt.Errorf("census: R_A for %v: %w", a, err)
 	}
 	e.RAFacets = ra.NumFacets()
-	// The task is built per call, never shared: its complexes would
-	// otherwise be read by concurrent solve jobs of different workers.
-	task, err := env.spec.Build(env.n)
-	if err != nil {
-		return e, fmt.Errorf("census: task %s: %w", env.spec, err)
-	}
-	res, err := solver.SolveAffineWith(task, ra, env.maxRounds, solver.Options{
+	res, err := solver.SolveAffineWith(env.task, ra, env.maxRounds, solver.Options{
 		Workers:     1,
 		Cache:       env.cache,
 		TaskLabel:   env.taskLabel,
@@ -162,7 +156,7 @@ func (env *runEnv) examine(idx uint64, parent obs.SpanID) (Entry, error) {
 	if solvable {
 		e.Rounds = res.Rounds
 		if env.verify {
-			err := solver.VerifyWitnessTables(task, ra, res.Rounds, res.Map,
+			err := solver.VerifyWitnessTables(env.task, ra, res.Rounds, res.Map,
 				solver.Options{Workers: 1, Cache: env.cache, CacheKey: ra.Signature()})
 			if err != nil {
 				return e, fmt.Errorf("census: witness for %v rejected: %w", a, err)
@@ -176,8 +170,8 @@ func (env *runEnv) examine(idx uint64, parent obs.SpanID) (Entry, error) {
 // fallback of the store query layer. It shares the census examination
 // code path exactly (same Entry for the same index and options as a
 // whole-domain sweep) and is safe for concurrent use: the Universe and
-// TowerCache it holds are concurrency-safe and every query builds its
-// own adversary.
+// TowerCache it holds are concurrency-safe, queries only read its one
+// built task, and every query builds its own adversary.
 type Examiner struct {
 	env *runEnv
 }

@@ -356,6 +356,30 @@ func TestOrbitCensusSolveTotals(t *testing.T) {
 	}
 }
 
+// TestOrbitSolveByteIdentical checks that solve-mode orbit sweeps
+// produce byte-identical streams and summaries at one worker and at
+// eight; two-representative blocks keep the eight workers solving side
+// by side.
+func TestOrbitSolveByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	opts := func(workers int) Options {
+		return Options{Orbits: true, Task: "kset:k=1", MaxRounds: 1, Workers: workers, ShardSize: 2}
+	}
+	w1 := filepath.Join(dir, "w1.jsonl")
+	w8 := filepath.Join(dir, "w8.jsonl")
+	rep1 := runJSONL(t, 3, opts(1), w1)
+	rep8 := runJSONL(t, 3, opts(8), w8)
+	if !bytes.Equal(readFile(t, w1), readFile(t, w8)) {
+		t.Fatal("solve-mode orbit stream differs between 1 and 8 workers")
+	}
+	if rep1.Summary.Total != rep8.Summary.Total ||
+		rep1.Summary.Solved != rep8.Summary.Solved ||
+		rep1.Summary.Solvable != rep8.Summary.Solvable ||
+		rep1.Summary.Orbits != rep8.Summary.Orbits {
+		t.Fatalf("solve summaries differ: %+v vs %+v", rep1.Summary, rep8.Summary)
+	}
+}
+
 // TestOrbitCheckpointResume checks the n=5 campaign shape end to end at
 // n=3: an orbit-reduced streaming sweep, interrupted and resumed, is
 // byte-identical to its uninterrupted counterpart.

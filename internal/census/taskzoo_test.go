@@ -11,6 +11,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -108,6 +109,33 @@ func TestTaskSweepWorkerInvariance(t *testing.T) {
 	}
 	if count == 0 || stamped != count {
 		t.Fatalf("%d of %d entries stamped with the task spec", stamped, count)
+	}
+}
+
+// TestSharedTaskByteIdentical checks the three non-kset task kinds
+// through one built task per run: at eight workers every solve job
+// reads the same complexes and Δ closures, and each stream must equal
+// the serial one. MaxIndices stops the sweeps before index 127, whose
+// loop-agreement search runs for seconds to the node limit.
+func TestSharedTaskByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	for _, task := range []string{"simplex-agreement", "approx:eps=1", "loop-agreement"} {
+		var streams [2][]byte
+		var reps [2]*Report
+		for i, workers := range []int{1, 8} {
+			out := filepath.Join(dir, fmt.Sprintf("%s-w%d.jsonl", task, workers))
+			reps[i] = runJSONL(t, 3, Options{Workers: workers, Task: task, MaxIndices: 100}, out)
+			streams[i] = readFile(t, out)
+		}
+		if !bytes.Equal(streams[0], streams[1]) {
+			t.Errorf("%s: stream at 8 workers differs from the serial one", task)
+		}
+		if a, b := jsonString(t, reps[0]), jsonString(t, reps[1]); a != b {
+			t.Errorf("%s: report at 8 workers\n%s\nwant\n%s", task, b, a)
+		}
+		if reps[0].Summary.Solved == 0 {
+			t.Errorf("%s: no solve job ran", task)
+		}
 	}
 }
 

@@ -260,8 +260,9 @@ func (ct *CachedTower) Tower() *Tower { return ct.tower }
 // EnsureHeightTables extends the tower to at least the given height
 // using the membership-table provider (the rank-indexed fast path),
 // which must match the signature the tower was acquired under.
-// Concurrent calls are serialized; already-built levels are never
-// rebuilt.
+// Extensions are serialized; already-built levels are never rebuilt,
+// and a call whose height is already built returns without waiting for
+// another caller's extension.
 func (ct *CachedTower) EnsureHeightTables(tables MemberTables, height int) error {
 	return ct.EnsureHeightTablesTraced(tables, height, nil)
 }
@@ -271,6 +272,11 @@ func (ct *CachedTower) EnsureHeightTables(tables MemberTables, height int) error
 // tower actually grows (already-built heights record nothing, keeping
 // the per-round fast path span-free). A nil parent records nothing.
 func (ct *CachedTower) EnsureHeightTablesTraced(tables MemberTables, height int, parent *obs.ActiveSpan) error {
+	// Tower.extend publishes a level only once its root-carrier table
+	// is built, so a published height can be read without ct.mu.
+	if ct.tower.Height() >= height {
+		return nil
+	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	from := ct.tower.Height()

@@ -2,7 +2,12 @@ package chromatic
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/procs"
 )
 
 // TestTowerCacheEviction checks the byte budget: distinct signatures
@@ -177,5 +182,59 @@ func TestNilTowerCacheUnshared(t *testing.T) {
 		if h := ct.Tower().Height(); h != 2 {
 			t.Fatalf("height %d after Release, want 2", h)
 		}
+	}
+}
+
+// gatedTables is Chr² whose MembershipTable calls, once armed, block
+// until gate is done; the first blocked call signals entered. (This
+// package's tests shadow the close builtin.)
+type gatedTables struct {
+	armed   atomic.Bool
+	once    sync.Once
+	entered chan struct{} // capacity 1: the one signal
+	gate    sync.WaitGroup
+}
+
+func (g *gatedTables) MembershipTable(ground procs.Set) *MembershipTable {
+	if g.armed.Load() {
+		g.once.Do(func() { g.entered <- struct{}{} })
+		g.gate.Wait()
+	}
+	return FullChr2Tables.MembershipTable(ground)
+}
+
+// TestEnsureBuiltHeightDuringExtension: while one caller's extension
+// to level 2 is blocked inside MembershipTable, a caller that needs
+// only the built level 1 of the same tower returns at once instead of
+// waiting for the extension.
+func TestEnsureBuiltHeightDuringExtension(t *testing.T) {
+	cache := NewTowerCache()
+	ct := cache.Acquire("gated", standardBase(t, 2), 1)
+	defer ct.Release()
+	g := &gatedTables{entered: make(chan struct{}, 1)}
+	if err := ct.EnsureHeightTables(g, 1); err != nil {
+		t.Fatal(err)
+	}
+	g.gate.Add(1)
+	g.armed.Store(true)
+	extended := make(chan error, 1)
+	go func() { extended <- ct.EnsureHeightTables(g, 2) }()
+	<-g.entered
+	built := make(chan error, 1)
+	go func() { built <- ct.EnsureHeightTables(g, 1) }()
+	select {
+	case err := <-built:
+		if err != nil {
+			t.Errorf("EnsureHeightTables(…, 1): %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("EnsureHeightTables(…, 1) still waits behind the level-2 extension after 5 s")
+	}
+	g.gate.Done()
+	if err := <-extended; err != nil {
+		t.Fatal(err)
+	}
+	if h := ct.Tower().Height(); h != 2 {
+		t.Fatalf("height %d after the extension, want 2", h)
 	}
 }

@@ -73,6 +73,18 @@ func (c *CounterVec) With(values ...string) *atomic.Uint64 {
 	return v
 }
 
+// Total returns the sum of the family's counters over every label
+// value.
+func (c *CounterVec) Total() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var sum uint64
+	for _, v := range c.vals {
+		sum += v.Load()
+	}
+	return sum
+}
+
 // WritePrometheus emits the family in Prometheus text exposition
 // format, rows sorted by label values.
 func (c *CounterVec) WritePrometheus(w io.Writer) {

@@ -140,8 +140,8 @@ func TestHistogramEmptyExposition(t *testing.T) {
 
 func TestCounterVecConcurrentRegistration(t *testing.T) {
 	// Many goroutines materializing overlapping label sets while a
-	// scraper writes: the total across rows must equal the adds, and
-	// -race must stay quiet.
+	// scraper writes and sums: the total across rows, and Total, must
+	// equal the adds, and -race must stay quiet.
 	c := NewCounterVec("conc_total", "Concurrency probe.", "worker")
 	const goroutines = 16
 	const perG = 200
@@ -155,6 +155,7 @@ func TestCounterVecConcurrentRegistration(t *testing.T) {
 				if i%50 == 0 {
 					var buf bytes.Buffer
 					c.WritePrometheus(&buf) // concurrent scrape
+					_ = c.Total()
 				}
 			}
 		}(g)
@@ -170,5 +171,8 @@ func TestCounterVecConcurrentRegistration(t *testing.T) {
 	}
 	if total != goroutines*perG {
 		t.Fatalf("total = %d, want %d\n%s", total, goroutines*perG, buf.String())
+	}
+	if got := c.Total(); got != total {
+		t.Fatalf("Total() = %d, rows sum to %d", got, total)
 	}
 }

@@ -108,6 +108,11 @@ func TestRegistryMounts(t *testing.T) {
 	if len(health.Mounts) != 2 {
 		t.Fatalf("healthz mounts = %v, want [3 4]", health.Mounts)
 	}
+	// The counters sum over n: one store hit on each mount.
+	if health.Requests != 3 || health.StoreHits != 2 ||
+		health.CacheHits+health.Rehydrated+health.Computed+health.Persisted != 0 {
+		t.Fatalf("healthz counters %+v, want 3 requests and 2 store hits only", health)
+	}
 }
 
 // TestRegistryConcurrent hammers both mounts from many goroutines —

@@ -127,14 +127,9 @@ type Server struct {
 
 	draining atomic.Bool
 
-	// Aggregate counters across mounts (surfaced on /healthz; the
-	// per-n breakdown lives in /metrics).
-	requests   atomic.Uint64
-	cacheHits  atomic.Uint64
-	storeHits  atomic.Uint64
-	rehydrated atomic.Uint64
-	computed   atomic.Uint64
-	persisted  atomic.Uint64
+	// requests counts API calls for /healthz; every other /healthz
+	// counter sums a per-n family of m.
+	requests atomic.Uint64
 }
 
 // mountState is the per-mount serving machinery.
@@ -391,7 +386,6 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 // orbit-aware), then live computation with write-back.
 func (s *Server) classifyIndex(ms *mountState, idx uint64) (*census.Entry, string, error) {
 	if e, ok := ms.lru.get(idx); ok {
-		s.cacheHits.Add(1)
 		s.m.cacheHits.With(ms.nLabel).Add(1)
 		return e, "cache", nil
 	}
@@ -402,13 +396,11 @@ func (s *Server) classifyIndex(ms *mountState, idx uint64) (*census.Entry, strin
 	}
 	switch src {
 	case LookupDirect:
-		s.storeHits.Add(1)
 		s.m.storeHits.With(ms.nLabel).Add(1)
 		e = stripOrbitSize(e)
 		ms.lru.put(idx, e)
 		return e, "store", nil
 	case LookupRehydrated:
-		s.rehydrated.Add(1)
 		s.m.rehydrated.With(ms.nLabel).Add(1)
 		ms.lru.put(idx, e)
 		return e, "store-rehydrated", nil
@@ -418,7 +410,6 @@ func (s *Server) classifyIndex(ms *mountState, idx uint64) (*census.Entry, strin
 	// write-back: the sweep's (k, rounds) configuration is not
 	// recoverable, so a classify-only entry would conflict with the
 	// completed sweep's bytes on a later merge.
-	s.computed.Add(1)
 	s.m.storeMisses.With(ms.nLabel).Add(1)
 	s.m.computed.With(ms.nLabel).Add(1)
 	t0 := time.Now()
@@ -431,7 +422,6 @@ func (s *Server) classifyIndex(ms *mountState, idx uint64) (*census.Entry, strin
 		if added, err := st.PutNew(persist); err != nil {
 			return nil, "", err
 		} else if added {
-			s.persisted.Add(1)
 			s.m.persisted.With(ms.nLabel).Add(1)
 		}
 	}
@@ -684,7 +674,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		api.Error(w, r, http.StatusInternalServerError, "solve: %v", err)
 		return
 	}
-	s.computed.Add(1)
 	s.m.computed.With(ms.nLabel).Add(1)
 	t0 := time.Now()
 	e, err := ex.Examine(idx)
@@ -782,7 +771,7 @@ func (s *Server) handleStores(w http.ResponseWriter, r *http.Request) {
 }
 
 // healthzResponse is the /healthz envelope: liveness plus the
-// aggregate counters (per-n breakdowns live on /metrics).
+// counters summed over n (per-n breakdowns live on /metrics).
 type healthzResponse struct {
 	Status     string `json:"status"`
 	Mounts     []int  `json:"mounts"`
@@ -801,11 +790,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Mounts:     s.reg.Ns(),
 		UptimeSec:  int64(time.Since(s.started).Seconds()),
 		Requests:   s.requests.Load(),
-		CacheHits:  s.cacheHits.Load(),
-		StoreHits:  s.storeHits.Load(),
-		Rehydrated: s.rehydrated.Load(),
-		Computed:   s.computed.Load(),
-		Persisted:  s.persisted.Load(),
+		CacheHits:  s.m.cacheHits.Total(),
+		StoreHits:  s.m.storeHits.Total(),
+		Rehydrated: s.m.rehydrated.Total(),
+		Computed:   s.m.computed.Total(),
+		Persisted:  s.m.persisted.Total(),
 	})
 }
 

@@ -146,6 +146,12 @@ func TestServeMissComputesAndPersists(t *testing.T) {
 	if got.Source != "cache" {
 		t.Errorf("second query source %q, want cache", got.Source)
 	}
+	var health healthzResponse
+	getJSON(t, ts.URL+"/healthz", &health)
+	if health.Requests != 2 || health.Computed != 1 || health.Persisted != 1 || health.CacheHits != 1 ||
+		health.StoreHits+health.Rehydrated != 0 {
+		t.Errorf("healthz counters %+v, want 2 requests: 1 computed and persisted, 1 cache hit", health)
+	}
 
 	// A fresh server over the same store must find the persisted
 	// answer without recomputing (the write-back stored the canonical
