@@ -2,8 +2,9 @@ package fact
 
 // Benchmarks for the sharded census engine and the parallel witness
 // verifier: throughput scaling with the worker count over the n=3
-// Figure 2 domain (classification) and the n=2 domain (full solve
-// sweep), plus the witness check on solved n=3 and n=4 instances.
+// Figure 2 domain (classification), solve sweeps over the n=2 domain
+// and an n=4 orbit window, plus the witness check on solved n=3 and
+// n=4 instances.
 
 import (
 	"fmt"
@@ -53,7 +54,12 @@ func BenchmarkCensusClassify(b *testing.B) {
 // BenchmarkCensusSolve runs the full solve sweep (R_A construction,
 // solvability decision and witness verification per fair adversary)
 // over the n=2 domain, with a fresh tower cache per iteration so the
-// engine's own sharing is what is measured.
+// engine's own sharing is what is measured. The n=4 case sweeps the
+// orbit representatives of raw indices [0, 768) deciding 2-set
+// consensus, the window of pipebench's sweep-solve: six solve jobs
+// build R_A and its membership tables on every ground, extend the
+// tower, search and check the witness inside the timer, with a fresh
+// tower cache and universe per op.
 func BenchmarkCensusSolve(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("n=2/workers=%d", workers), func(b *testing.B) {
@@ -73,6 +79,24 @@ func BenchmarkCensusSolve(b *testing.B) {
 			}
 		})
 	}
+	b.Run("n=4/orbits/window=768/workers=2", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			rep, err := census.SweepRange(4, census.Options{
+				Workers:         2,
+				Orbits:          true,
+				Task:            "kset:k=2",
+				VerifyWitnesses: true,
+				Cache:           chromatic.NewTowerCache(),
+				Universe:        chromatic.NewUniverse(4),
+			}, census.Discard{}, 0, 768)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rep.Summary.Solved == 0 {
+				b.Fatal("solve sweep decided nothing")
+			}
+		}
+	})
 }
 
 // BenchmarkVerifyWitness measures the witness check on 2-set consensus

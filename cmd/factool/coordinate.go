@@ -41,6 +41,9 @@ func cmdCoordinate(args []string) error {
 	if *storeDir == "" {
 		return usagef(fs, "coordinate: -store is required")
 	}
+	if err := checkRounds(fs, *rounds); err != nil {
+		return err
+	}
 	if *task != "" {
 		if _, err := tasks.ParseSpec(*task); err != nil {
 			return usagef(fs, "coordinate: %v", err)

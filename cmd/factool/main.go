@@ -1,17 +1,17 @@
 // Command factool explores the FACT reproduction from the command line:
 //
-//	factool chr -n 3                         # Chr s census (Figure 1a)
-//	factool adversary -n 3 -kind tres -t 1   # adversary + agreement function
-//	factool affine -n 3 -kind kof -k 1       # build R_A, print stats
-//	factool classify -n 3                    # Figure 2 census
-//	factool census -n 3 -workers 8 -json     # parallel census, JSON report
-//	factool merge -n 3 -store DIR a.jsonl    # merge shards into a store
-//	factool serve -store DIR -addr :8080     # HTTP query layer over a store
-//	factool coordinate -n 4 -store DIR       # distributed-campaign coordinator
-//	factool work -url http://host:8081       # fabric worker (acquire/sweep/upload)
-//	factool figures -dir out/                # regenerate all figure SVGs
-//	factool solve -n 3 -kind tres -t 1 -k 2  # FACT solvability decision
-//	factool simulate -n 3 -kind kof -k 1     # Algorithm 1 + §6 campaigns
+//	factool chr -n 3                             # Chr s census (Figure 1a)
+//	factool adversary -n 3 -kind tres -t 1       # adversary + agreement function
+//	factool affine -n 3 -kind kof -k 1           # build R_A, print stats
+//	factool classify -n 3                        # Figure 2 census
+//	factool census -n 3 -workers 8 -json         # parallel census, JSON report
+//	factool merge -n 3 -store DIR a.jsonl        # merge shards into a store
+//	factool serve -store DIR -addr :8080         # HTTP query layer over a store
+//	factool coordinate -n 4 -store DIR           # distributed-campaign coordinator
+//	factool work -url http://host:8081           # fabric worker (acquire/sweep/upload)
+//	factool figures -dir out/                    # regenerate all figure SVGs
+//	factool solve -n 3 -kind tres -t 1 -ktask 2  # FACT solvability decision
+//	factool simulate -n 3 -kind kof -k 1         # Algorithm 1 + §6 campaigns
 //
 // Exit codes: 0 on success (including -h/help), 2 on bad usage (unknown
 // subcommand, bad flags, invalid flag values — with the offending
@@ -121,99 +121,73 @@ func run(args []string) error {
 	}
 }
 
+// usage prints the global listing: every subcommand's synopsis under
+// its one-line description, from the synopses table.
 func usage() {
-	fmt.Fprint(os.Stderr, `factool — fair-adversary affine tasks toolbox
-
-subcommands:
-  chr        -n N                           Chr s census (Figure 1a)
-  adversary  -n N -kind K [flags]           adversary, α, classification
-  affine     -n N -kind K [flags]           affine task R_A stats
-  classify   -n N                           adversary census (Figure 2)
-  census     -n N [-workers W] [-json] [-solve -task S -rounds L -verify]
-             [-family F] [-stats] [-progress] [-orbits] [-out F.jsonl]
-             [-compress] [-checkpoint F -resume] [-checkpoint-every I]
-             [-maxindices I] [-budget D] [-cachemb M]
-                                            parallel adversary census
-                                            (streaming, checkpointable,
-                                            canonical-orbit enumeration;
-                                            -task picks any registered
-                                            task, -family a named
-                                            adversary family)
-  merge      -n N -store DIR SHARD...       merge census JSONL shards
-                                            into an indexed store
-  serve      -store DIR... [-stores GLOB] [-addr A] [-apikeys F]
-             [-log-json] [-metrics] [flags] serve the v1 HTTP API over
-                                            every mounted store (one
-                                            process, any number of n)
-  coordinate -n N -store DIR [-orbits] [-solve -task S -rounds L]
-             [-unit-size U] [-addr A] [-ttl D] [-apikeys F]
-             [-exit-on-complete]             distributed-campaign
-                                            coordinator: lease rank-range
-                                            units to workers, merge their
-                                            shards into the store
-  work       -url URL [-id W] [-workers W] [-ttl S] [-max-units K]
-                                            fabric worker: acquire →
-                                            sweep → upload until the
-                                            campaign completes
-  store      verify -store DIR [-spot K]    deep-check a store (CRC walk,
-                                            manifest consistency, orbit
-                                            spot check); exit 1 on
-                                            corruption
-  loadtest   -url URL -n N [-duration D] [-concurrency C] [-slo-p99 D]
-                                            sustained classify/solve load
-                                            against a serve endpoint,
-                                            p50/p90/p99 + SLO check
-  tracecat   [-json] [-top K] TRACE.jsonl...
-                                            summarize -trace span files:
-                                            per-stage latency table
-  figures    -dir DIR                       regenerate figure SVGs
-  solve      -n N -kind K [flags] -k K' [-workers W] [-stats]
-                                            k-set consensus solvability
-  simulate   -n N -kind K [flags]           Algorithm 1 + §6 campaigns
-
+	w := os.Stderr
+	fmt.Fprint(w, "factool — fair-adversary affine tasks toolbox\n\n"+
+		"usage: factool SUBCOMMAND [flags] (factool SUBCOMMAND -h lists its flags)\n\n"+
+		"subcommands:\n")
+	for _, sub := range synopses {
+		fmt.Fprintf(w, "  %-13s %s\n", sub.name, sub.about)
+		for _, line := range strings.Split(sub.args, "\n") {
+			fmt.Fprintf(w, "  %-13s   %s\n", "", line)
+		}
+	}
+	fmt.Fprint(w, `
 adversary kinds (-kind): waitfree | tres (-t) | kof (-k) | fig5b
 
-observability: census, serve, coordinate and work also accept
-  -debug-addr HOST:PORT (side surface with /healthz, /metrics,
-  /debug/pprof and /debug/trace) and -trace FILE (span JSONL for
-  factool tracecat)
+observability: -debug-addr HOST:PORT serves /healthz, /metrics,
+  /debug/pprof and /debug/trace beside the work; -trace FILE writes the
+  span JSONL that factool tracecat reads
 `)
 }
 
-// synopses are the one-line usage forms printed by each subcommand's
-// FlagSet on bad flags — the specific subcommand's usage, not the
-// global one.
-var synopses = map[string]string{
-	"chr":       "-n N",
-	"adversary": "-n N -kind waitfree|tres|kof|fig5b [-t T] [-k K]",
-	"affine":    "-n N -kind waitfree|tres|kof|fig5b [-t T] [-k K]",
-	"classify":  "-n N",
-	"census": "-n N [-workers W] [-json] [-solve -task S -rounds L -verify] [-stats]\n" +
-		"                      [-family F] [-progress] [-orbits] [-out F.jsonl] [-compress]\n" +
-		"                      [-checkpoint F -resume] [-checkpoint-every I]\n" +
-		"                      [-maxindices I] [-budget D] [-cachemb M]\n" +
-		"                      [-debug-addr HOST:PORT] [-trace FILE]",
-	"merge": "-n N -store DIR [-block-entries B] [-summary] SHARD.jsonl[.gz]...",
-	"serve": "-store DIR [-store DIR ...] [-stores GLOB] [-addr HOST:PORT]\n" +
-		"                      [-apikeys FILE] [-log-json] [-metrics=false]\n" +
-		"                      [-cache-entries E] [-cachemb M] [-rounds L] [-readonly]\n" +
-		"                      [-no-presence] [-drain-timeout D]\n" +
-		"                      [-debug-addr HOST:PORT] [-trace FILE]",
-	"coordinate": "-n N -store DIR [-orbits] [-solve -task S -rounds L] [-unit-size U]\n" +
-		"                      [-addr HOST:PORT] [-ttl D] [-spool DIR] [-apikeys FILE]\n" +
-		"                      [-log-json] [-exit-on-complete] [-drain-timeout D]\n" +
-		"                      [-debug-addr HOST:PORT] [-trace FILE]",
-	"work": "-url URL [-id W] [-task S] [-workers W] [-ttl SEC] [-cachemb M] [-tmp DIR]\n" +
-		"                      [-max-units K] [-apikey KEY] [-max-outage D] [-crash-after K]\n" +
-		"                      [-debug-addr HOST:PORT] [-trace FILE]",
-	"store verify": "-store DIR [-spot K] [-json]",
-	"loadtest": "-url URL -n N [-duration D] [-concurrency C] [-batch B]\n" +
-		"                      [-solve-frac F] [-batch-frac F] [-task S] [-ktask K] [-seed S]\n" +
-		"                      [-apikey KEY] [-slo-p99 D] [-json]",
-	"tracecat": "[-json] [-top K] TRACE.jsonl... (stdin when no files)",
-	"figures":  "-dir DIR",
-	"solve":    "-n N -kind K [-t T] [-k K] -ktask K' [-rounds L] [-workers W] [-stats]",
-	"simulate": "-n N -kind K [-t T] [-k K] [-trials T] [-seed S]",
+// synopses is factool's one usage table, in listing order: each
+// subcommand's flag synopsis, which its FlagSet prints on bad flags,
+// and the one-line description the global listing adds.
+var synopses = []struct{ name, args, about string }{
+	{"chr", "-n N", "Chr s census (Figure 1a)"},
+	{"adversary", "-n N -kind waitfree|tres|kof|fig5b [-t T] [-k K]",
+		"adversary, α, classification"},
+	{"affine", "-n N -kind waitfree|tres|kof|fig5b [-t T] [-k K]", "affine task R_A stats"},
+	{"classify", "-n N", "adversary census (Figure 2)"},
+	{"census", "-n N [-workers W] [-json] [-solve -task S -rounds L -verify] [-stats]\n" +
+		"[-family F] [-progress] [-orbits] [-out F.jsonl] [-compress]\n" +
+		"[-checkpoint F -resume] [-checkpoint-every I]\n" +
+		"[-maxindices I] [-budget D] [-cachemb M]\n" +
+		"[-debug-addr HOST:PORT] [-trace FILE]",
+		"streaming, checkpointable adversary census; decides any registered task"},
+	{"merge", "-n N -store DIR [-block-entries B] [-summary] SHARD.jsonl[.gz]...",
+		"merge census JSONL shards into an indexed store"},
+	{"serve", "-store DIR [-store DIR ...] [-stores GLOB] [-addr HOST:PORT]\n" +
+		"[-apikeys FILE] [-log-json] [-metrics=false]\n" +
+		"[-cache-entries E] [-cachemb M] [-rounds L] [-readonly]\n" +
+		"[-no-presence] [-drain-timeout D]\n" +
+		"[-debug-addr HOST:PORT] [-trace FILE]",
+		"serve the v1 HTTP API over every mounted store"},
+	{"coordinate", "-n N -store DIR [-orbits] [-solve -task S -rounds L] [-unit-size U]\n" +
+		"[-addr HOST:PORT] [-ttl D] [-spool DIR] [-apikeys FILE]\n" +
+		"[-log-json] [-exit-on-complete] [-drain-timeout D]\n" +
+		"[-debug-addr HOST:PORT] [-trace FILE]",
+		"campaign coordinator: lease index units to workers, merge their shards"},
+	{"work", "-url URL [-id W] [-task S] [-workers W] [-ttl SEC] [-cachemb M] [-tmp DIR]\n" +
+		"[-max-units K] [-apikey KEY] [-max-outage D] [-crash-after K]\n" +
+		"[-debug-addr HOST:PORT] [-trace FILE]",
+		"fabric worker: acquire, sweep and upload units until the campaign completes"},
+	{"store verify", "-store DIR [-spot K] [-json]",
+		"deep-check a store; exit 1 on corruption"},
+	{"loadtest", "-url URL -n N [-duration D] [-concurrency C] [-batch B]\n" +
+		"[-solve-frac F] [-batch-frac F] [-task S] [-ktask K] [-seed S]\n" +
+		"[-apikey KEY] [-slo-p99 D] [-json]",
+		"closed-loop load against a serve endpoint, latency percentiles and SLO check"},
+	{"tracecat", "[-json] [-top K] TRACE.jsonl... (stdin when no files)",
+		"per-stage latency table of -trace span files"},
+	{"figures", "-dir DIR", "regenerate the paper's figure SVGs"},
+	{"solve", "-n N -kind K [-t T] [-k K] -ktask K' [-rounds L] [-workers W] [-stats]",
+		"k-set consensus solvability (FACT decision)"},
+	{"simulate", "-n N -kind K [-t T] [-k K] [-trials T] [-seed S]",
+		"Algorithm 1 and Section 6 campaigns"},
 }
 
 // errBadFlags marks a flag-parse failure the FlagSet already reported
@@ -240,7 +214,14 @@ func usagef(fs *flag.FlagSet, format string, args ...any) error {
 func newFlagSet(name string) *flag.FlagSet {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: factool %s %s\n", name, synopses[name])
+		head := "usage: factool " + name + " "
+		for _, sub := range synopses {
+			if sub.name == name {
+				// Continuation lines line up under the first flag.
+				args := strings.ReplaceAll(sub.args, "\n", "\n"+strings.Repeat(" ", len(head)))
+				fmt.Fprintln(fs.Output(), head+args)
+			}
+		}
 		fs.PrintDefaults()
 	}
 	return fs
@@ -266,6 +247,15 @@ func adversaryFlags(fs *flag.FlagSet) (n *int, kind *string, t *int, k *int) {
 	t = fs.Int("t", 1, "resilience parameter for -kind tres")
 	k = fs.Int("k", 1, "concurrency parameter for -kind kof")
 	return
+}
+
+// checkRounds bounds a -rounds flag to [1, census.MaxRounds], the
+// range /v1/solve?rounds= accepts too.
+func checkRounds(fs *flag.FlagSet, rounds int) error {
+	if rounds < 1 || rounds > census.MaxRounds {
+		return usagef(fs, "%s: -rounds must be in [1,%d], got %d", fs.Name(), census.MaxRounds, rounds)
+	}
+	return nil
 }
 
 // maxAdversaryProcs bounds the shared -n flag well below
@@ -412,6 +402,9 @@ func cmdCensus(args []string) error {
 	}
 	if *n < 1 || *n > 6 {
 		return usagef(fs, "census: -n must be in [1,6], got %d", *n)
+	}
+	if err := checkRounds(fs, *rounds); err != nil {
+		return err
 	}
 	if *compress && *out == "" {
 		return usagef(fs, "census: -compress requires -out")
@@ -618,7 +611,7 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	cacheEntries := fs.Int("cache-entries", 4096, "per-store in-memory entry LRU capacity")
 	cacheMB := fs.Int64("cachemb", 0, "tower-cache byte budget in MiB for live solves, shared by all mounts (0 = unbounded)")
-	rounds := fs.Int("rounds", 1, "default maximum iterations of R_A for /v1/solve, in [1,4]")
+	rounds := fs.Int("rounds", 1, fmt.Sprintf("default maximum iterations of R_A for /v1/solve, in [1,%d]", census.MaxRounds))
 	readonly := fs.Bool("readonly", false, "do not persist live-computed answers to the stores")
 	apikeys := fs.String("apikeys", "", "API-key file (name:key[:rate[:burst]] lines); enables 401/429 auth")
 	metricsOn := fs.Bool("metrics", true, "expose the Prometheus /metrics endpoint")
@@ -629,9 +622,8 @@ func cmdServe(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	// The range /v1/solve?rounds= accepts.
-	if *rounds < 1 || *rounds > 4 {
-		return usagef(fs, "serve: -rounds must be in [1,4], got %d", *rounds)
+	if err := checkRounds(fs, *rounds); err != nil {
+		return err
 	}
 	dirs := []string(storeDirs)
 	if *storesGlob != "" {
@@ -919,7 +911,7 @@ func modelFigure(a *adversary.Adversary, kind string) func() (string, error) {
 func cmdSolve(args []string) error {
 	fs := newFlagSet("solve")
 	n, kind, t, k := adversaryFlags(fs)
-	kTask := fs.Int("ktask", 1, "k for k-set consensus")
+	kTask := fs.Int("ktask", 1, "k for k-set consensus: the CLI spelling of kset:k=K (<= 0 means 1)")
 	rounds := fs.Int("rounds", 1, "maximum iterations of R_A")
 	workers := fs.Int("workers", 0, "engine workers (0 = all CPUs, 1 = serial)")
 	stats := fs.Bool("stats", false, "print tower-cache statistics to stderr")
@@ -930,6 +922,14 @@ func cmdSolve(args []string) error {
 	if err != nil {
 		return err
 	}
+	if err := checkRounds(fs, *rounds); err != nil {
+		return err
+	}
+	spec := tasks.KSetSpec(*kTask)
+	task, err := spec.Build(a.N())
+	if err != nil {
+		return err
+	}
 	m, err := fact.NewModel(a)
 	if err != nil {
 		return err
@@ -937,16 +937,17 @@ func cmdSolve(args []string) error {
 	m.SetWorkers(*workers)
 	fmt.Printf("model %v: setcon = %d (FACT predicts solvable ⇔ k ≥ setcon)\n", a, m.Setcon())
 	cache := chromatic.NewTowerCache()
-	res, err := m.SolveWith(tasks.KSetConsensus(m.N(), *kTask), *rounds, solver.Options{Cache: cache})
+	res, err := m.SolveWith(task, *rounds, solver.Options{Cache: cache})
 	if err != nil {
 		return err
 	}
+	kset := spec.Param("k")
 	if res.Solvable {
 		fmt.Printf("%d-set consensus: SOLVABLE at ℓ=%d (map on %d vertices)\n",
-			*kTask, res.Rounds, len(res.Map))
+			kset, res.Rounds, len(res.Map))
 	} else {
 		fmt.Printf("%d-set consensus: no map up to ℓ=%d (complex sizes %v)\n",
-			*kTask, *rounds, res.ComplexSizes)
+			kset, *rounds, res.ComplexSizes)
 	}
 	if *stats {
 		printCacheStats(cache.Snapshot())

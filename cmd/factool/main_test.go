@@ -145,12 +145,29 @@ func TestFiguresWritesSVGs(t *testing.T) {
 	}
 }
 
+// TestSolveCommand runs solve, which reads -ktask as census does
+// (through tasks.KSetSpec): -ktask 0 and -ktask -3 decide and print
+// 1-set consensus exactly as -ktask 1 does.
 func TestSolveCommand(t *testing.T) {
 	if err := run([]string{"solve", "-n", "3", "-kind", "kof", "-k", "1", "-ktask", "1"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"solve", "-n", "3", "-kind", "tres", "-t", "1", "-ktask", "2"}); err != nil {
 		t.Fatal(err)
+	}
+	solve := func(k string) string {
+		return captureStdout(t, func() error {
+			return run([]string{"solve", "-n", "3", "-kind", "tres", "-t", "1", "-ktask", k})
+		})
+	}
+	one := solve("1")
+	if !strings.Contains(one, "1-set consensus: no map") {
+		t.Fatalf("-ktask 1 under 1-resilience should find no map:\n%s", one)
+	}
+	for _, k := range []string{"0", "-3"} {
+		if got := solve(k); got != one {
+			t.Errorf("-ktask %s printed\n%s\nwant what -ktask 1 prints:\n%s", k, got, one)
+		}
 	}
 }
 
@@ -271,6 +288,9 @@ func captureStderr(t *testing.T, f func()) string {
 // usage errors (bad flags, bad values, unknown subcommand), 1 for
 // runtime failures.
 func TestExitCodes(t *testing.T) {
+	// A store path no row may create: a -rounds check that let the
+	// coordinator through would open it and serve.
+	absent := filepath.Join(t.TempDir(), "absent")
 	cases := []struct {
 		args []string
 		want int
@@ -306,6 +326,14 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"chr", "-n", "11"}, 0},
 		{[]string{"serve", "-store", "/nonexistent-store-dir", "-rounds", "9"}, 2}, // past /v1/solve's rounds range
 		{[]string{"serve", "-store", "/nonexistent-store-dir", "-rounds", "0"}, 2},
+		// -rounds has the one range [1, census.MaxRounds] everywhere.
+		{[]string{"census", "-n", "2", "-solve", "-rounds", "0"}, 2},
+		{[]string{"census", "-n", "2", "-solve", "-rounds", "-5"}, 2},
+		{[]string{"census", "-n", "2", "-solve", "-rounds", "5"}, 2},
+		{[]string{"coordinate", "-store", absent, "-solve", "-rounds", "0"}, 2},
+		{[]string{"coordinate", "-store", absent, "-solve", "-rounds", "5"}, 2},
+		{[]string{"solve", "-n", "2", "-kind", "waitfree", "-rounds", "0"}, 2},
+		{[]string{"solve", "-n", "2", "-kind", "waitfree", "-rounds", "5"}, 2},
 	}
 	for _, c := range cases {
 		var got int

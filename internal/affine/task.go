@@ -1,10 +1,10 @@
 package affine
 
 // The affine-task container: a pure sub-complex of Chr² s given by its
-// facets (2-round runs), with membership tests, the simplicial complex
-// realization, and the Membership predicate consumed by
-// chromatic.Tower to build iterated models L^m (Section 2, "Simplex
-// agreement and affine tasks").
+// facets (2-round runs), with the membership tables chromatic's towers
+// read to build iterated models L^m, and the simplicial complex
+// realization and Membership predicate of the paper-side checks
+// (Section 2, "Simplex agreement and affine tasks").
 
 import (
 	"crypto/sha256"
@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"repro/internal/chromatic"
-	"repro/internal/par"
 	"repro/internal/procs"
 	"repro/internal/sc"
 )
@@ -127,12 +126,18 @@ func (t *Task) Signature() string {
 }
 
 // MembershipTable returns the task's precomputed rank-indexed
-// membership bitset over the given ground set — affine.Task natively
-// implements chromatic.MemberTables, so the task itself is the fast
-// path of ApplyAffineTables / CachedTower.EnsureHeightTables. Tables
-// are built once per (task, ground): from the facet key set on the full
-// ground, and through the complex's closure on restricted grounds. Safe
-// for concurrent use.
+// membership bitset over the given non-empty ground set — affine.Task
+// natively implements chromatic.MemberTables, so the task itself is the
+// fast path of ApplyAffineTables / CachedTower.EnsureHeightTables.
+//
+// One rule answers every ground P. An immediate-snapshot view never
+// holds a process scheduled after it, so a run (R1, R2) over P is a
+// face of the task exactly when some facet schedules P first in both
+// rounds and agrees with the run there: (R1++X, R2++Y) is a facet for
+// some ordered partitions X, Y of Π∖P. On the full ground X = Y = ()
+// and the rule is the facet check itself. The probes read only the
+// facet key set. Tables are built once per (task, ground); safe for
+// concurrent use.
 func (t *Task) MembershipTable(ground procs.Set) *chromatic.MembershipTable {
 	t.tabMu.Lock()
 	mt, ok := t.tables[ground]
@@ -140,16 +145,25 @@ func (t *Task) MembershipTable(ground procs.Set) *chromatic.MembershipTable {
 	if ok {
 		return mt
 	}
-	if ground == procs.FullSet(t.n) {
-		mt = chromatic.NewMembershipTable(ground,
-			func(r chromatic.Run2, key chromatic.RunKey) bool { return t.keys[key] })
-	} else {
-		t.Complex()
-		mt = chromatic.NewMembershipTable(ground,
-			func(r chromatic.Run2, key chromatic.RunKey) bool {
-				return t.ContainsSimplex(r.FacetIDs(t.u))
-			})
-	}
+	rest := procs.FullSet(t.n).Diff(ground)
+	var tails []chromatic.RunKey // the keys of every run (X, Y) over rest
+	chromatic.ForEachRun2Keyed(rest, func(_ chromatic.Run2, k chromatic.RunKey) bool {
+		tails = append(tails, k)
+		return true
+	})
+	// A PackedKey nibble holds a 1-based block index, so appending X to
+	// R1's blocks adds len(R1) to the nibble of every member of rest.
+	var spread uint64
+	rest.ForEach(func(p procs.ID) { spread |= 1 << (4 * uint(p)) })
+	mt = chromatic.NewMembershipTable(ground, func(r chromatic.Run2, key chromatic.RunKey) bool {
+		shift1, shift2 := uint64(len(r.R1))*spread, uint64(len(r.R2))*spread
+		for _, tail := range tails {
+			if t.keys[chromatic.RunKey{R1: key.R1 + shift1 + tail.R1, R2: key.R2 + shift2 + tail.R2}] {
+				return true
+			}
+		}
+		return false
+	})
 	t.tabMu.Lock()
 	if prior, ok := t.tables[ground]; ok {
 		mt = prior
@@ -196,21 +210,6 @@ func (t *Task) RestrictedFacets(p procs.Set) []chromatic.Run2 {
 	}
 	t.restMu.Unlock()
 	return runs
-}
-
-// PrecomputeRestrictedFacets fills the restricted-facet (and membership
-// table) memo for every non-empty participating set P ⊆ Π in parallel —
-// the per-P computations are independent, so they fan out through
-// par.For on workers goroutines, resolved by par.Workers. The memoized
-// results are identical to what serial RestrictedFacets calls would
-// produce; simulation campaigns touching many participating sets call
-// this once up front instead of paying for each set on first touch.
-func (t *Task) PrecomputeRestrictedFacets(workers int) {
-	subsets := procs.NonemptySubsets(procs.FullSet(t.n))
-	// The closure complex is built lazily under a Once; touch it before
-	// fanning out so workers only read it.
-	t.Complex()
-	par.For(len(subsets), workers, func(_, i int) { t.RestrictedFacets(subsets[i]) })
 }
 
 // ContainsSimplex reports whether the interned vertex set is a simplex

@@ -55,6 +55,12 @@ const MaxDomain = 1 << 22
 // space beyond MaxDomain.
 var ErrDomainTooLarge = errors.New("census: enumeration domain too large")
 
+// MaxRounds is the deepest solvability search (Options.MaxRounds) the
+// command line and the v1 API ask for: factool's census, coordinate,
+// solve and serve -rounds flags and /v1/solve?rounds= accept
+// [1, MaxRounds].
+const MaxRounds = 4
+
 // Options tune a census run. The zero value selects the defaults:
 // classification only, one worker per CPU.
 type Options struct {
@@ -90,7 +96,8 @@ type Options struct {
 	Family string
 
 	// MaxRounds bounds the solvability search (iterations of R_A).
-	// <= 0 selects 1.
+	// <= 0 selects 1; callers that take it from users bound it by the
+	// package constant MaxRounds.
 	MaxRounds int
 
 	// VerifyWitnesses re-validates every witness map found by the solve
@@ -105,9 +112,8 @@ type Options struct {
 	Cache *chromatic.TowerCache
 
 	// Universe is the Chr² vertex identity space solve jobs build R_A
-	// over. Nil selects a run-private one; pass
-	// chromatic.SharedUniverse(n) to share vertices with other engines
-	// of the process (the store query layer does).
+	// over; nil selects a run-private one. A decision reads only R_A's
+	// facet runs, so a sweep interns no vertex into it.
 	Universe *chromatic.Universe
 
 	// Orbits sweeps one canonical representative per color-permutation

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/chromatic"
 	"repro/internal/obs"
 )
 
@@ -148,6 +149,30 @@ func TestCensusSolveFACT(t *testing.T) {
 			t.Errorf("%s: setcon=%d, 2-set consensus solvable=%v — FACT predicts %v",
 				e.Adversary, e.Setcon, *e.Solvable, want)
 		}
+	}
+}
+
+// TestSolveSweepInternsNothing sweeps the n=4 orbit window [0, 768)
+// under kset:k=2 with witness checks and needs the caller's universe
+// empty afterwards: every decision reads R_A's membership tables, which
+// come from its facet runs, so no Chr² vertex is interned.
+func TestSolveSweepInternsNothing(t *testing.T) {
+	u := chromatic.NewUniverse(4)
+	rep, err := SweepRange(4, Options{
+		Workers:         2,
+		Orbits:          true,
+		Task:            "kset:k=2",
+		VerifyWitnesses: true,
+		Universe:        u,
+	}, Discard{}, 0, 768)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Summary.Solved == 0 {
+		t.Fatal("the window decided nothing")
+	}
+	if v := u.NumVertices(); v != 0 {
+		t.Errorf("the sweep interned %d vertices into Options.Universe, want 0", v)
 	}
 }
 

@@ -39,9 +39,9 @@ type runEnv struct {
 // environment: the task a non-empty Options.Task names, built once for
 // every solve job (so a spec that cannot be built fails the run up
 // front), its spec (kset:k=1 for classify runs, which only fingerprint
-// it), defaulted rounds, a Universe (the run-private default, or
-// opts.Universe to share e.g. chromatic.SharedUniverse across engines),
-// and a TowerCache (opts.Cache, or a private unbounded one).
+// it), defaulted rounds, the Universe R_A is built over (opts.Universe,
+// or a private one), and a TowerCache (opts.Cache, or a private
+// unbounded one).
 func newRunEnv(n int, opts Options) (*runEnv, error) {
 	var task *tasks.Task
 	spec := tasks.KSetSpec(1)
@@ -178,9 +178,7 @@ type Examiner struct {
 
 // NewExaminer builds an examiner for n-process queries. Only the
 // examination-shaping options are read: Task (empty classifies only),
-// MaxRounds, VerifyWitnesses, Cache and Universe. Pass
-// chromatic.SharedUniverse(n) as opts.Universe to share the vertex
-// identity space with other engines of the process.
+// MaxRounds, VerifyWitnesses, Cache and Universe.
 func NewExaminer(n int, opts Options) (*Examiner, error) {
 	if n < 1 || n > 6 {
 		return nil, fmt.Errorf("census: n must be in [1,6], got %d", n)

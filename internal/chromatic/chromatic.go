@@ -76,11 +76,13 @@ type Vertex2 struct {
 }
 
 // Universe interns Chr² s vertices into stable vertex IDs so that all
-// sub-complexes of Chr² s for a given n share a vertex identity space.
-// Safe for concurrent use: the parallel subdivision engine interns
-// candidate vertices from many workers at once. IDs of vertices interned
-// concurrently depend on scheduling, but membership testing — the only
-// concurrent consumer — never relies on which fresh ID a candidate got.
+// sub-complexes of Chr² s for a given n share a vertex identity space:
+// an affine task's closure complex, Algorithm 1 outputs, the μ_Q
+// checks, figures and simplex agreement's output complex. The decision
+// path interns nothing into it (affine tasks answer membership from
+// their facet runs, and the subdivision engine keys its own vertices).
+// Safe for concurrent use, so models of one system size can share a
+// universe; an ID depends on the order vertices were first interned.
 type Universe struct {
 	n    int
 	mu   sync.RWMutex
@@ -91,30 +93,6 @@ type Universe struct {
 // NewUniverse creates an empty interner for an n-process system.
 func NewUniverse(n int) *Universe {
 	return &Universe{n: n, ids: make(map[string]sc.VertexID)}
-}
-
-// sharedUniverses holds the process-wide per-n universes handed out by
-// SharedUniverse.
-var (
-	sharedUniversesMu sync.Mutex
-	sharedUniverses   = make(map[int]*Universe)
-)
-
-// SharedUniverse returns the process-wide universe for n-process
-// systems, creating it on first use. Models built through the
-// convenience APIs share it so repeated builds for the same n intern
-// each Chr² vertex once instead of once per model; callers that need an
-// isolated identity space (or fully reproducible vertex IDs regardless
-// of what was built before) should use NewUniverse instead.
-func SharedUniverse(n int) *Universe {
-	sharedUniversesMu.Lock()
-	defer sharedUniversesMu.Unlock()
-	u, ok := sharedUniverses[n]
-	if !ok {
-		u = NewUniverse(n)
-		sharedUniverses[n] = u
-	}
-	return u
 }
 
 // N returns the number of processes.

@@ -29,9 +29,6 @@ func CheckAlgorithmOne(n int, alpha adversary.AlphaFunc, task *affine.Task, tria
 	rng := rand.New(rand.NewSource(seed))
 	report := &AlgOneReport{Trials: trials}
 	full := procs.FullSet(n)
-	// Trials draw random participating sets and consult the task's
-	// restricted facets per schedule step; precompute them in parallel.
-	task.PrecomputeRestrictedFacets(0)
 	// Participating sets with α(P) ≥ 1.
 	var okParts []procs.Set
 	for _, p := range procs.NonemptySubsets(full) {
@@ -96,9 +93,6 @@ func CheckSetConsensus(task *affine.Task, alpha adversary.AlphaFunc, trials int,
 	sim := NewSetConsensusSim(task, alpha)
 	report := &SetConsensusReport{Trials: trials}
 	full := procs.FullSet(task.N())
-	// The campaign touches every participating set below; fill the
-	// restricted-facet memo on all CPUs instead of serially on first use.
-	task.PrecomputeRestrictedFacets(0)
 	var okParts []procs.Set
 	for _, p := range procs.NonemptySubsets(full) {
 		if alpha(p) >= 1 && len(sim.RestrictedFacets(p)) > 0 {

@@ -454,9 +454,6 @@ func (w *worker) runUnit(l *leaseInfo) (entries uint64, campaignDone bool, err e
 		Tracer:      w.opts.Tracer,
 		TraceParent: unitSpan.ID(),
 	}
-	if c.Solve {
-		sweep.Universe = chromatic.SharedUniverse(c.N)
-	}
 	rep, err := census.SweepRange(c.N, sweep, sink, l.Unit.Lo, l.Unit.Hi)
 	if cerr := sink.Close(); err == nil {
 		err = cerr

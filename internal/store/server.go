@@ -5,8 +5,7 @@ package store
 // all of them. Queries resolve store-first through a per-mount entry
 // LRU and presence filter; a miss falls back to live computation on
 // the census examination path (all mounts share one byte-budgeted
-// TowerCache; each mount shares chromatic.SharedUniverse(n)) and
-// persists the computed answer back to its store. Read queries take an
+// TowerCache) and persists the computed answer back to its store. Read queries take an
 // optional task=<spec> parameter routing to the mount answering that
 // task; without it the task-neutral (or sole) mount of the n answers.
 //
@@ -138,7 +137,6 @@ type mountState struct {
 	nLabel   string
 	orbits   *adversary.Orbits
 	classify *census.Examiner
-	universe *chromatic.Universe
 	lru      *entryLRU
 }
 
@@ -201,8 +199,7 @@ func (s *Server) state(n int, task string) (*mountState, error) {
 	if ms, ok := s.states[key]; ok {
 		return ms, nil
 	}
-	universe := chromatic.SharedUniverse(n)
-	classify, err := census.NewExaminer(n, census.Options{Universe: universe, Cache: s.tcache})
+	classify, err := census.NewExaminer(n, census.Options{Cache: s.tcache})
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +213,6 @@ func (s *Server) state(n int, task string) (*mountState, error) {
 		nLabel:   strconv.Itoa(n),
 		orbits:   adversary.NewOrbits(n),
 		classify: classify,
-		universe: universe,
 		lru:      newEntryLRU(s.opts.CacheEntries),
 	}
 	s.states[key] = ms
@@ -622,9 +618,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	// The mount only supplies the n-domain and universe: /v1/solve is a
-	// live decision of any registered task, so the task parameter does
-	// not route mounts here.
+	// The mount only supplies the n-domain: /v1/solve is a live decision
+	// of any registered task, so the task parameter does not route
+	// mounts here.
 	ms, ok := s.mountFor(w, r, q.Get("n"), "")
 	if !ok {
 		return
@@ -660,13 +656,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	maxRounds := s.opts.MaxRounds
 	if v := q.Get("rounds"); v != "" {
 		l, err := strconv.Atoi(v)
-		if err != nil || l < 1 || l > 4 {
-			api.Error(w, r, http.StatusBadRequest, "rounds %q outside [1, 4]", v)
+		if err != nil || l < 1 || l > census.MaxRounds {
+			api.Error(w, r, http.StatusBadRequest, "rounds %q outside [1, %d]", v, census.MaxRounds)
 			return
 		}
 		maxRounds = l
 	}
-	// Always a live decision over the shared universe and tower cache:
+	// Always a live decision over the shared tower cache:
 	// store entries only memoize the census' own solve configuration,
 	// while /v1/solve answers for any (task, rounds).
 	ex, err := s.solver(ms, spec.String(), maxRounds)
@@ -712,8 +708,7 @@ func (s *Server) solver(ms *mountState, spec string, rounds int) (*census.Examin
 		return ex, nil
 	}
 	ex, err := census.NewExaminer(key.n, census.Options{
-		Task: spec, MaxRounds: rounds,
-		Universe: ms.universe, Cache: s.tcache,
+		Task: spec, MaxRounds: rounds, Cache: s.tcache,
 	})
 	if err != nil {
 		return nil, err

@@ -83,10 +83,9 @@ func (s *Store) Verify(opts VerifyOptions) (*VerifyReport, error) {
 	var solve *solveRederiver
 	if task := s.Task(); solveMode && task != "" {
 		solve = &solveRederiver{
-			n:        n,
-			task:     task,
-			universe: chromatic.SharedUniverse(n),
-			cache:    chromatic.NewTowerCache(),
+			n:     n,
+			task:  task,
+			cache: chromatic.NewTowerCache(),
 		}
 	}
 	// Evenly-spread semantic sample over the unique entry sequence.
@@ -197,10 +196,9 @@ func (s *Store) verifyPhysical(rep *VerifyReport) (n int, domain uint64, orbitKi
 // whole sample; the Examiner is fresh per entry because MaxRounds is
 // pinned to that entry's recorded rounds.
 type solveRederiver struct {
-	n        int
-	task     string
-	universe *chromatic.Universe
-	cache    *chromatic.TowerCache
+	n     int
+	task  string
+	cache *chromatic.TowerCache
 }
 
 // rederive recomputes the entry from scratch at MaxRounds = max(1,
@@ -216,7 +214,6 @@ func (v *solveRederiver) rederive(e *census.Entry) ([]byte, error) {
 	ex, err := census.NewExaminer(v.n, census.Options{
 		Task:      v.task,
 		MaxRounds: rounds,
-		Universe:  v.universe,
 		Cache:     v.cache,
 	})
 	if err != nil {

@@ -51,19 +51,18 @@ type Model struct {
 // check fairness with Adversary().IsFair() when the FACT guarantees are
 // required.
 //
-// All models of the same system size built through NewModel share one
-// process-wide chromatic.Universe, so each Chr² vertex is interned once
-// per process rather than once per model. Use NewModelWithUniverse with
-// a fresh universe for an isolated vertex identity space.
+// The model gets its own chromatic.Universe. Solving interns nothing
+// into it; the paper-side checks, figures and the complex of
+// AffineTask do.
 func NewModel(a *adversary.Adversary) (*Model, error) {
-	return NewModelWithUniverse(chromatic.SharedUniverse(a.N()), a)
+	return NewModelWithUniverse(chromatic.NewUniverse(a.N()), a)
 }
 
 // NewModelWithUniverse is NewModel over a caller-provided Chr² vertex
-// interner, so many models of the same system size share one vertex
-// identity space instead of re-interning per model — what the census
-// engine does internally for whole-landscape sweeps. The universe must
-// have the adversary's system size and is safe to share concurrently.
+// interner, so models of the same system size share one vertex
+// identity space: their complexes, Algorithm 1 outputs and figures
+// name a Chr² vertex by one ID. The universe must have the adversary's
+// system size and is safe to share concurrently.
 func NewModelWithUniverse(u *chromatic.Universe, a *adversary.Adversary) (*Model, error) {
 	if u.N() != a.N() {
 		return nil, fmt.Errorf("model for %v: universe has n=%d, adversary n=%d", a, u.N(), a.N())
