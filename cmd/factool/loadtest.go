@@ -222,12 +222,14 @@ func drawIndex(rng *rand.Rand, domain uint64) uint64 {
 }
 
 // solveQuery renders the /v1/solve query string: the task spec when
-// one was given, the kset compat parameter otherwise.
+// one was given, the kset compat parameter otherwise. k is read through
+// tasks.KSetSpec, as census, coordinate and solve read -ktask, so 0 and
+// negatives ask for k=1.
 func solveQuery(n int, idx uint64, task string, ktask int) string {
 	if task != "" {
 		return fmt.Sprintf("/v1/solve?n=%d&index=%d&task=%s", n, idx, url.QueryEscape(task))
 	}
-	return fmt.Sprintf("/v1/solve?n=%d&index=%d&ktask=%d", n, idx, ktask)
+	return fmt.Sprintf("/v1/solve?n=%d&index=%d&ktask=%d", n, idx, tasks.KSetSpec(ktask).Param("k"))
 }
 
 // ltGet issues one GET, draining the body so the connection is reused.

@@ -435,6 +435,24 @@ func TestDrawIndex(t *testing.T) {
 	}
 }
 
+// TestSolveQueryKTask: loadtest reads -ktask as census, coordinate and
+// solve do, so 0 and negatives send k=1 (serve answers ktask=0 with
+// 400), and a -task spec replaces the kset parameter.
+func TestSolveQueryKTask(t *testing.T) {
+	want := "/v1/solve?n=3&index=7&ktask=1"
+	for _, k := range []int{0, -3, 1} {
+		if got := solveQuery(3, 7, "", k); got != want {
+			t.Errorf("solveQuery(3, 7, \"\", %d) = %q, want %q", k, got, want)
+		}
+	}
+	if got, want := solveQuery(3, 7, "", 2), "/v1/solve?n=3&index=7&ktask=2"; got != want {
+		t.Errorf("solveQuery(…, 2) = %q, want %q", got, want)
+	}
+	if got, want := solveQuery(3, 7, "kset:k=2", 0), "/v1/solve?n=3&index=7&task=kset%3Ak%3D2"; got != want {
+		t.Errorf("solveQuery with a task = %q, want %q", got, want)
+	}
+}
+
 // TestServeUntilDrainsInFlight: once done closes, serveUntil drains
 // and returns nil, but only after the request already in flight has
 // been answered.

@@ -23,13 +23,26 @@ func fig5bAdversary(t *testing.T) *adversary.Adversary {
 // TestFigure4aContention: two reversed sequential runs — every subset of
 // processes is contending.
 func TestFigure4aContention(t *testing.T) {
-	run := chromatic.Run2{R1: seq(1, 0, 2), R2: seq(2, 0, 1)}
-	fc := newFacetContention(run)
-	for mask := 1; mask < 8; mask++ {
-		if !fc.table[mask] {
-			t.Errorf("subset mask %b should be contending", mask)
+	full := procs.FullSet(3)
+	want := procs.Set(1)
+	newFacetContention(full).forEach(full, viewRow(seq(1, 0, 2)), viewRow(seq(2, 0, 1)), func(theta, _ procs.Set) bool {
+		if theta != want {
+			t.Errorf("contention simplex %v visited, want %v", theta, want)
 		}
+		want++
+		return true
+	})
+	if want != 8 {
+		t.Errorf("visited %d contention simplices, want all 7 non-empty subsets", want-1)
 	}
+}
+
+// viewRow returns the per-process views of op as a dense row indexed by
+// process ID, the form chromatic.PartitionViews holds.
+func viewRow(op procs.OrderedPartition) []procs.Set {
+	row := make([]procs.Set, procs.MaxProcs)
+	op.Ground().ForEach(func(p procs.ID) { row[p], _ = op.ViewOf(p) })
+	return row
 }
 
 // TestFigure4bContention: runs {p1},{p2},{p3} then {p2},{p3,p1} — the

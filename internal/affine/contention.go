@@ -8,6 +8,8 @@
 package affine
 
 import (
+	"math/bits"
+
 	"repro/internal/chromatic"
 	"repro/internal/procs"
 	"repro/internal/sc"
@@ -45,73 +47,59 @@ func IsContentionSimplex(vs []chromatic.Vertex2) bool {
 	return true
 }
 
-// facetContention precomputes, for one facet of Chr² s (a 2-round run
-// over ground), the set of contention sub-simplices as a bitmask table:
-// table[mask] reports whether the vertex subset indexed by mask (bit i =
-// i-th member of ground in increasing ID order) is pairwise contending.
+// facetContention is the Definition 5 kernel: it finds the contention
+// simplices of one facet of Chr² σ, a 2-round run over a ground set,
+// from dense view rows — view1[p] and view2[p], indexed by process ID,
+// are p's round-1 and round-2 IS views, as chromatic.PartitionViews
+// holds them. Pairwise contention is one bitmask per member. A subset θ
+// of the ground, taken as a process set, is a contention simplex iff θ
+// without its highest member p is one and p contends with all of it, so
+// one pass over the subsets in increasing order fills the Cont² table
+// cont[θ] and the round-2 carrier union carrier[θ] = ∪{View²(p) : p ∈ θ}
+// = χ(carrier(θ, Chr s)). Both tables are work buffers indexed by
+// process set: a kernel serves runs over every ground inside the set it
+// was made for, and a caller that reuses one allocates nothing per run.
 type facetContention struct {
-	members []procs.ID
-	table   []bool
-	// view2 of each member (χ of the round-2 carrier) and the round-2
-	// knowledge union per mask, used to compute carriers of subsets.
-	view2   map[procs.ID]procs.Set
-	unionV2 []procs.Set
+	cont    []bool
+	carrier []procs.Set
 }
 
-func newFacetContention(run chromatic.Run2) *facetContention {
-	ground := run.Ground()
-	members := ground.Members()
-	m := len(members)
-	view1 := run.R1.Views()
-	view2 := make(map[procs.ID]procs.Set, m)
-	for _, p := range members {
-		v, _ := run.R2.ViewOf(p)
-		view2[p] = v
-	}
-	pair := make([][]bool, m)
-	for i := range pair {
-		pair[i] = make([]bool, m)
-		for j := range pair[i] {
-			if i != j {
-				a, b := members[i], members[j]
-				pair[i][j] = ContendingPair(view1[a], view2[a], view1[b], view2[b])
+// newFacetContention returns a kernel for runs over subsets of within.
+func newFacetContention(within procs.Set) *facetContention {
+	size := int(within) + 1
+	return &facetContention{cont: make([]bool, size), carrier: make([]procs.Set, size)}
+}
+
+// forEach calls f on every non-empty contention simplex θ of the run
+// over ground with views view1 and view2, together with
+// χ(carrier(θ, Chr s)), in increasing bitmask order. It stops when f
+// returns false and reports whether it visited every one.
+func (fc *facetContention) forEach(ground procs.Set, view1, view2 []procs.Set, f func(theta, carrier procs.Set) bool) bool {
+	var rivals [procs.MaxProcs]procs.Set // rivals[p]: the members contending with p
+	for a := ground; a != 0; a &= a - 1 {
+		p, _ := a.Min()
+		for b := a & (a - 1); b != 0; b &= b - 1 {
+			q, _ := b.Min()
+			if ContendingPair(view1[p], view2[p], view1[q], view2[q]) {
+				rivals[p] = rivals[p].Add(q)
+				rivals[q] = rivals[q].Add(p)
 			}
 		}
 	}
-	size := 1 << uint(m)
-	table := make([]bool, size)
-	unionV2 := make([]procs.Set, size)
-	table[0] = true
-	for mask := 1; mask < size; mask++ {
-		// last set bit index
-		last := 0
-		for (mask>>uint(last))&1 == 0 {
-			last++
+	fc.cont[0], fc.carrier[0] = true, 0
+	for theta := ground & -ground; theta != 0; theta = (theta - ground) & ground {
+		p := procs.ID(bits.Len32(uint32(theta)) - 1)
+		rest := theta.Remove(p)
+		fc.cont[theta] = fc.cont[rest] && rest.SubsetOf(rivals[p])
+		if !fc.cont[theta] {
+			continue // θ ∉ Cont²
 		}
-		rest := mask &^ (1 << uint(last))
-		unionV2[mask] = unionV2[rest].Union(view2[members[last]])
-		ok := table[rest]
-		if ok {
-			for i := 0; i < m && ok; i++ {
-				if rest&(1<<uint(i)) != 0 && !pair[last][i] {
-					ok = false
-				}
-			}
-		}
-		table[mask] = ok
-	}
-	return &facetContention{members: members, table: table, view2: view2, unionV2: unionV2}
-}
-
-// setOf converts a bitmask over members to a process set.
-func (fc *facetContention) setOf(mask int) procs.Set {
-	var s procs.Set
-	for i, p := range fc.members {
-		if mask&(1<<uint(i)) != 0 {
-			s = s.Add(p)
+		fc.carrier[theta] = fc.carrier[rest].Union(view2[p])
+		if !f(theta, fc.carrier[theta]) {
+			return false
 		}
 	}
-	return s
+	return true
 }
 
 // Cont2Simplices enumerates, for an n-process system, every simplex of
@@ -122,43 +110,32 @@ func Cont2Simplices(u *chromatic.Universe, minDim int) []sc.Simplex {
 	seen := make(map[string]bool)
 	var out []sc.Simplex
 	full := procs.FullSet(u.N())
+	fc := newFacetContention(full)
 	for _, ground := range procs.NonemptySubsets(full) {
-		chromatic.ForEachRun2(ground, func(run chromatic.Run2) bool {
-			fc := newFacetContention(run)
-			ids := run.FacetIDs(u)
-			m := len(fc.members)
-			for mask := 1; mask < 1<<uint(m); mask++ {
-				if !fc.table[mask] {
-					continue
-				}
-				dim := popcount(mask) - 1
-				if dim < minDim {
-					continue
-				}
-				var simplex sc.Simplex
-				for i := 0; i < m; i++ {
-					if mask&(1<<uint(i)) != 0 {
-						simplex = append(simplex, ids[i])
+		members := ground.Members()
+		parts, views := chromatic.OrderedPartitionsOf(ground), chromatic.PartitionViews(ground)
+		for i, r1 := range parts {
+			for j, r2 := range parts {
+				ids := chromatic.Run2{R1: r1, R2: r2}.FacetIDs(u)
+				fc.forEach(ground, views[i], views[j], func(theta, _ procs.Set) bool {
+					if theta.Size()-1 < minDim {
+						return true
 					}
-				}
-				simplex = sc.NewSimplex(simplex...)
-				k := simplex.Key()
-				if !seen[k] {
-					seen[k] = true
-					out = append(out, simplex)
-				}
+					var simplex sc.Simplex
+					for k, p := range members {
+						if theta.Contains(p) {
+							simplex = append(simplex, ids[k])
+						}
+					}
+					simplex = sc.NewSimplex(simplex...)
+					if k := simplex.Key(); !seen[k] {
+						seen[k] = true
+						out = append(out, simplex)
+					}
+					return true
+				})
 			}
-			return true
-		})
+		}
 	}
 	return out
-}
-
-func popcount(x int) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
 }

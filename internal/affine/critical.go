@@ -49,17 +49,6 @@ func (s Chr1Simplex) Carrier() procs.Set {
 	return out
 }
 
-// Restrict keeps only the vertices with colors in u.
-func (s Chr1Simplex) Restrict(u procs.Set) Chr1Simplex {
-	out := Chr1Simplex{Views: make(map[procs.ID]procs.Set, u.Size())}
-	for q, v := range s.Views {
-		if u.Contains(q) {
-			out.Views[q] = v
-		}
-	}
-	return out
-}
-
 // ViewGroup is a maximal set of vertices of a Chr-s simplex sharing the
 // same View¹.
 type ViewGroup struct {
@@ -97,18 +86,53 @@ type CriticalInfo struct {
 }
 
 // Critical computes CSM/CSV/Conc for the simplex under the agreement
-// function α.
+// function α, listing the critical view groups in view order. It copies
+// the view map into a dense per-process array and calls the helper the
+// Definition 9 facet filter calls on its view rows, so the paper-side
+// checks and R_A's construction share one implementation.
 func Critical(alpha adversary.AlphaFunc, s Chr1Simplex) CriticalInfo {
+	var views [procs.MaxProcs]procs.Set
+	var members procs.Set
+	for q, v := range s.Views {
+		views[q] = v
+		members = members.Add(q)
+	}
+	return critical(alpha, views[:], members, true)
+}
+
+// critical evaluates Definitions 7 and 8 on the Chr-s simplex with one
+// vertex (q, views[q]) per q ∈ members, views indexed by process ID. It
+// takes the view groups in view order (size, then bitmask), each found
+// by a scan of the members not yet grouped, so it builds no map and
+// sorts nothing. The critical groups are listed only when withGroups is
+// set; without them the call allocates nothing.
+func critical(alpha adversary.AlphaFunc, views []procs.Set, members procs.Set, withGroups bool) CriticalInfo {
 	var info CriticalInfo
-	for _, g := range s.Groups() {
-		av := alpha(g.View)
-		if alpha(g.View.Diff(g.Members)) < av {
-			info.CSM = info.CSM.Union(g.Members)
-			info.CSV = info.CSV.Union(g.View)
-			if av > info.Conc {
-				info.Conc = av
+	for rest := members; rest != 0; {
+		first, _ := rest.Min()
+		view := views[first]
+		for t := rest; t != 0; t &= t - 1 {
+			q, _ := t.Min()
+			if v := views[q]; v.Size() < view.Size() || (v.Size() == view.Size() && v < view) {
+				view = v
 			}
-			info.CriticalGroups = append(info.CriticalGroups, g)
+		}
+		var group procs.Set
+		for t := rest; t != 0; t &= t - 1 {
+			if q, _ := t.Min(); views[q] == view {
+				group = group.Add(q)
+			}
+		}
+		rest = rest.Diff(group)
+		av := alpha(view)
+		if alpha(view.Diff(group)) >= av {
+			continue
+		}
+		info.CSM = info.CSM.Union(group)
+		info.CSV = info.CSV.Union(view)
+		info.Conc = max(info.Conc, av)
+		if withGroups {
+			info.CriticalGroups = append(info.CriticalGroups, ViewGroup{View: view, Members: group})
 		}
 	}
 	return info

@@ -16,6 +16,7 @@ package affine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/adversary"
 	"repro/internal/chromatic"
@@ -47,15 +48,11 @@ const DefaultVariant = VariantUnion
 // The facet filter runs one worker per CPU over the first-round
 // schedules (the rows are independent: each builds its own r1Context);
 // the facet order — and so the task — is identical to the serial scan.
+// The facets' schedules are chromatic's cached ordered partitions of Π,
+// shared and read-only.
 func BuildRA(u *chromatic.Universe, alpha adversary.AlphaFunc, variant Def9Variant) (*Task, error) {
 	n := u.N()
-	full := procs.FullSet(n)
-	parts := procs.EnumerateOrderedPartitions(full)
-	rows := buildRAFacetRows(alpha, parts, variant, 0)
-	var facets []chromatic.Run2
-	for _, row := range rows {
-		facets = append(facets, row...)
-	}
+	facets := slices.Concat(buildRAFacetRows(alpha, procs.FullSet(n), variant, 0)...)
 	t, err := NewTask(fmt.Sprintf("R_A(n=%d)", n), u, facets)
 	if err != nil {
 		return nil, fmt.Errorf("R_A: %w", err)
@@ -68,31 +65,34 @@ func BuildRA(u *chromatic.Universe, alpha adversary.AlphaFunc, variant Def9Varia
 // has 75 and n=5 has 541 (parallel).
 const parallelRARows = 64
 
-// buildRAFacetRows applies the Definition 9 facet filter row by row:
-// rows[i] holds the facets with R1 = parts[i], each row in r2
-// enumeration order. The rows fan out through par.For, workers resolved
-// by par.Workers; domains below parallelRARows rows take one worker. α
-// is first copied, serially, into a dense table over the subsets of the
-// ground set: callers may pass any AlphaFunc, and one that is slow or
-// not safe for concurrent calls is then evaluated once per subset, on
-// one goroutine. Every worker builds its own r1Context and reads only
-// that table, so rows share no state and the concatenated output is
-// byte-identical across worker counts.
-func buildRAFacetRows(alpha adversary.AlphaFunc, parts []procs.OrderedPartition, variant Def9Variant, workers int) [][]chromatic.Run2 {
-	if len(parts) > 0 {
-		alpha = alphaTable(alpha, parts[0].Ground())
-	}
+// buildRAFacetRows applies the Definition 9 facet filter to every run
+// over ground, row by row: rows[i] holds the accepted runs (R1, R2) with
+// R1 the i-th of chromatic.OrderedPartitionsOf(ground), each row in R2
+// enumeration order. The filter reads dense tables only: each schedule's
+// per-process views come from chromatic.PartitionViews, the row's τ
+// critical info is a slice indexed by subset, and the contention kernel
+// keeps its Cont² table and round-2 carrier unions in buffers reused for
+// every R2 of the row, so no map is built or hashed per run. The rows
+// fan out through par.For, workers resolved by par.Workers; domains
+// below parallelRARows rows take one worker. α is first copied,
+// serially, into a dense table over the subsets of ground: callers may
+// pass any AlphaFunc, and one that is slow or not safe for concurrent
+// calls is then evaluated once per subset, on one goroutine. Every
+// worker builds its own r1Context and reads only that table and the
+// shared read-only view rows, so rows share no mutable state and the
+// concatenated output is byte-identical across worker counts.
+func buildRAFacetRows(alpha adversary.AlphaFunc, ground procs.Set, variant Def9Variant, workers int) [][]chromatic.Run2 {
+	alpha = alphaTable(alpha, ground)
+	parts, views := chromatic.OrderedPartitionsOf(ground), chromatic.PartitionViews(ground)
 	rows := make([][]chromatic.Run2, len(parts))
 	if len(parts) < parallelRARows {
 		workers = 1
 	}
 	par.For(len(parts), workers, func(_, i int) {
-		r1 := parts[i]
-		pc := newR1Context(alpha, r1)
-		for _, r2 := range parts {
-			run := chromatic.Run2{R1: r1, R2: r2}
-			if raFacetOK(pc, run, variant) {
-				rows[i] = append(rows[i], run)
+		c := newR1Context(alpha, ground, views[i])
+		for j, r2 := range parts {
+			if raFacetOK(c, views[j], variant) {
+				rows[i] = append(rows[i], chromatic.Run2{R1: parts[i], R2: r2})
 			}
 		}
 	})
@@ -120,60 +120,48 @@ func BuildRAForAdversary(u *chromatic.Universe, a *adversary.Adversary, variant 
 	return t, nil
 }
 
-// r1Context caches the α-dependent data of one first-round schedule: the
-// full-carrier critical info (for ρ) and per-subset τ contexts.
+// r1Context holds the α-dependent data of one first-round schedule R1,
+// the facet σ₁ of Chr s with views view1: tau[U] is the critical info of
+// σ₁ restricted to the processes in U, for every U ⊆ ground, so the τ
+// of a θ is tau[χ(carrier(θ, Chr s))] and ρ is tau[ground]. fc is the
+// row's contention kernel.
 type r1Context struct {
-	alpha adversary.AlphaFunc
-	view1 map[procs.ID]procs.Set
-	rho   CriticalInfo
-	sigma Chr1Simplex
-	tau   map[procs.Set]CriticalInfo
+	ground procs.Set
+	view1  []procs.Set
+	tau    []CriticalInfo
+	fc     *facetContention
 }
 
-func newR1Context(alpha adversary.AlphaFunc, r1 procs.OrderedPartition) *r1Context {
-	sigma := FromPartition(r1)
-	return &r1Context{
-		alpha: alpha,
-		view1: sigma.Views,
-		rho:   Critical(alpha, sigma),
-		sigma: sigma,
-		tau:   make(map[procs.Set]CriticalInfo),
+func newR1Context(alpha adversary.AlphaFunc, ground procs.Set, view1 []procs.Set) *r1Context {
+	c := &r1Context{
+		ground: ground,
+		view1:  view1,
+		tau:    make([]CriticalInfo, int(ground)+1),
+		fc:     newFacetContention(ground),
 	}
+	procs.ForEachSubset(ground, func(u procs.Set) bool {
+		c.tau[u] = critical(alpha, view1, u, false)
+		return true
+	})
+	return c
 }
 
-// tauInfo returns the critical info of the sub-simplex of the round-1
-// facet restricted to the processes in u (the carrier of θ in Chr s).
-func (c *r1Context) tauInfo(u procs.Set) CriticalInfo {
-	if info, ok := c.tau[u]; ok {
-		return info
-	}
-	info := Critical(c.alpha, c.sigma.Restrict(u))
-	c.tau[u] = info
-	return info
-}
-
-// raFacetOK evaluates ∀θ ⊆ σ: P(θ, σ) for the facet of the run.
-func raFacetOK(c *r1Context, run chromatic.Run2, variant Def9Variant) bool {
-	fc := newFacetContention(run)
-	m := len(fc.members)
-	for mask := 1; mask < 1<<uint(m); mask++ {
-		if !fc.table[mask] {
-			continue // θ ∉ Cont²: P(θ,σ) holds vacuously
-		}
-		theta := fc.setOf(mask)
-		tau := c.tauInfo(fc.unionV2[mask])
+// raFacetOK evaluates ∀θ ⊆ σ: P(θ, σ) for the facet whose second round
+// has views view2; θ ∉ Cont² satisfies P(θ, σ) vacuously, so only the
+// contention simplices are checked.
+func raFacetOK(c *r1Context, view2 []procs.Set, variant Def9Variant) bool {
+	rhoCSM := c.tau[c.ground].CSM
+	return c.fc.forEach(c.ground, c.view1, view2, func(theta, carrier procs.Set) bool {
+		tau := &c.tau[carrier]
 		var guard procs.Set
 		switch variant {
 		case VariantIntersection:
-			guard = theta.Intersect(c.rho.CSM).Intersect(tau.CSV)
+			guard = theta.Intersect(rhoCSM).Intersect(tau.CSV)
 		default:
-			guard = theta.Intersect(c.rho.CSM.Union(tau.CSV))
+			guard = theta.Intersect(rhoCSM.Union(tau.CSV))
 		}
-		if guard.IsEmpty() && theta.Size()-1 >= tau.Conc {
-			return false
-		}
-	}
-	return true
+		return !guard.IsEmpty() || theta.Size()-1 < tau.Conc
+	})
 }
 
 // BuildRkOF constructs R_{k-OF} per Definition 6: the pure complement of
@@ -183,20 +171,14 @@ func raFacetOK(c *r1Context, run chromatic.Run2, variant Def9Variant) bool {
 func BuildRkOF(u *chromatic.Universe, k int) (*Task, error) {
 	n := u.N()
 	full := procs.FullSet(n)
-	parts := procs.EnumerateOrderedPartitions(full)
+	parts, views := chromatic.OrderedPartitionsOf(full), chromatic.PartitionViews(full)
+	fc := newFacetContention(full)
+	below := func(theta, _ procs.Set) bool { return theta.Size()-1 < k }
 	var facets []chromatic.Run2
-	for _, r1 := range parts {
-		for _, r2 := range parts {
-			run := chromatic.Run2{R1: r1, R2: r2}
-			fc := newFacetContention(run)
-			ok := true
-			for mask := 1; mask < 1<<uint(n) && ok; mask++ {
-				if fc.table[mask] && popcount(mask)-1 >= k {
-					ok = false
-				}
-			}
-			if ok {
-				facets = append(facets, run)
+	for i, r1 := range parts {
+		for j, r2 := range parts {
+			if fc.forEach(full, views[i], views[j], below) {
+				facets = append(facets, chromatic.Run2{R1: r1, R2: r2})
 			}
 		}
 	}

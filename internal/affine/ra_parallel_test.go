@@ -14,7 +14,7 @@ import (
 // at any worker count, for both guard variants.
 func TestBuildRAParallelMatchesSerial(t *testing.T) {
 	n := 4
-	parts := procs.EnumerateOrderedPartitions(procs.FullSet(n))
+	full := procs.FullSet(n)
 	alphas := map[string]adversary.AlphaFunc{
 		"waitfree": adversary.WaitFree(n).Alpha,
 		"1-res":    adversary.TResilient(n, 1).Alpha,
@@ -22,9 +22,9 @@ func TestBuildRAParallelMatchesSerial(t *testing.T) {
 	}
 	for name, alpha := range alphas {
 		for _, variant := range []Def9Variant{VariantIntersection, VariantUnion} {
-			serial := buildRAFacetRows(alpha, parts, variant, 1)
+			serial := buildRAFacetRows(alpha, full, variant, 1)
 			for _, workers := range []int{2, 8, 1000} {
-				par := buildRAFacetRows(alpha, parts, variant, workers)
+				par := buildRAFacetRows(alpha, full, variant, workers)
 				if !reflect.DeepEqual(serial, par) {
 					t.Fatalf("%s variant=%d: rows differ between 1 and %d workers", name, variant, workers)
 				}
@@ -39,15 +39,15 @@ func TestBuildRATaskMatchesSerialScan(t *testing.T) {
 	n := 4
 	u := chromatic.NewUniverse(n)
 	alpha := adversary.KObstructionFree(n, 2).Alpha
-	parts := procs.EnumerateOrderedPartitions(procs.FullSet(n))
+	full := procs.FullSet(n)
+	parts := procs.EnumerateOrderedPartitions(full)
 
 	var facets []chromatic.Run2
 	for _, r1 := range parts {
-		pc := newR1Context(alpha, r1)
+		pc := newR1Context(alpha, full, viewRow(r1))
 		for _, r2 := range parts {
-			run := chromatic.Run2{R1: r1, R2: r2}
-			if raFacetOK(pc, run, VariantUnion) {
-				facets = append(facets, run)
+			if raFacetOK(pc, viewRow(r2), VariantUnion) {
+				facets = append(facets, chromatic.Run2{R1: r1, R2: r2})
 			}
 		}
 	}

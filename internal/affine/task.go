@@ -79,7 +79,9 @@ func (t *Task) Universe() *chromatic.Universe { return t.u }
 // NumFacets returns the number of top-dimensional facets.
 func (t *Task) NumFacets() int { return len(t.facets) }
 
-// Facets returns a copy of the facet runs.
+// Facets returns a copy of the facet runs. The runs' schedules may be
+// chromatic's cached ordered partitions, shared process-wide, so callers
+// must treat them as read-only.
 func (t *Task) Facets() []chromatic.Run2 {
 	out := make([]chromatic.Run2, len(t.facets))
 	copy(out, t.facets)

@@ -107,6 +107,15 @@ func OrderedPartitionsOf(ground procs.Set) []procs.OrderedPartition {
 	return partitionsFor(ground).parts
 }
 
+// PartitionViews returns the per-process IS views of ground's cached
+// ordered partitions, index-aligned with OrderedPartitionsOf(ground):
+// row i holds at index p the view of p under partition i, for every
+// member p of ground. The rows are shared — callers must treat them as
+// read-only.
+func PartitionViews(ground procs.Set) [][]procs.Set {
+	return partitionsFor(ground).views
+}
+
 // NumOrderedPartitions returns the number of ordered partitions of
 // ground (the ordered Bell number of its size), from the cached table.
 func NumOrderedPartitions(ground procs.Set) int {

@@ -46,3 +46,22 @@ func TestOrderedPartitionsOfCached(t *testing.T) {
 		}
 	}
 }
+
+// TestPartitionViewsMatchViewOf checks the shared view rows against
+// OrderedPartition.ViewOf for every partition of every ground subset of
+// a 4-process system.
+func TestPartitionViewsMatchViewOf(t *testing.T) {
+	for _, ground := range procs.NonemptySubsets(procs.FullSet(4)) {
+		parts, views := OrderedPartitionsOf(ground), PartitionViews(ground)
+		if len(views) != len(parts) {
+			t.Fatalf("ground %v: %d view rows for %d partitions", ground, len(views), len(parts))
+		}
+		for i, op := range parts {
+			ground.ForEach(func(p procs.ID) {
+				if want, _ := op.ViewOf(p); views[i][p] != want {
+					t.Fatalf("ground %v partition %v: view of %v = %v, want %v", ground, op, p, views[i][p], want)
+				}
+			})
+		}
+	}
+}

@@ -141,3 +141,36 @@ func TestFacetsMatchExtensionScanOnLevels(t *testing.T) {
 		checkFacets(t, a.String(), level.Complex)
 	}
 }
+
+// TestSimplicesCachedUntilMutation: Simplices hands every caller one
+// cached list until a mutator drops it, and the list after a mutation
+// equals a fresh computation on a clone.
+func TestSimplicesCachedUntilMutation(t *testing.T) {
+	c := sc.NewComplex(2)
+	for v := 0; v < 3; v++ {
+		if err := c.AddVertex(sc.VertexID(v), v%2, "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.AddSimplex(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	first, again := c.Simplices(), c.Simplices()
+	if &first[0] != &again[0] {
+		t.Fatal("Simplices recomputed the list of an unchanged complex")
+	}
+	mutations := []func() error{
+		func() error { return c.AddSimplex(1, 2) },
+		func() error { return c.AddVertex(3, 0, "v") },
+	}
+	for i, mutate := range mutations {
+		before := len(c.Simplices())
+		if err := mutate(); err != nil {
+			t.Fatal(err)
+		}
+		got := c.Simplices()
+		if want := c.Clone().Simplices(); len(got) == before || !reflect.DeepEqual(got, want) {
+			t.Fatalf("mutation %d: Simplices() = %v, want %v", i, got, want)
+		}
+	}
+}

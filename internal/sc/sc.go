@@ -155,10 +155,12 @@ type Complex struct {
 	verts     map[VertexID]Vertex
 	simplices map[string]Simplex
 
-	// facetCache is filled under facetMu by Facets and dropped by the
-	// mutators, which must not run concurrently with readers.
-	facetMu    sync.Mutex
-	facetCache []Simplex
+	// facetCache and simplexCache are filled under cacheMu by Facets
+	// and Simplices and dropped by the mutators, which must not run
+	// concurrently with readers.
+	cacheMu      sync.Mutex
+	facetCache   []Simplex
+	simplexCache []Simplex
 }
 
 // NewComplex creates an empty complex whose vertex colors must lie in
@@ -187,7 +189,7 @@ func (c *Complex) AddVertex(id VertexID, color int, label string) error {
 		return nil
 	}
 	c.verts[id] = Vertex{Color: color, Label: label}
-	c.facetCache = nil
+	c.dropCaches()
 	// Every vertex is itself a simplex.
 	s := Simplex{id}
 	c.simplices[s.Key()] = s
@@ -235,8 +237,14 @@ func (c *Complex) AddSimplex(vs ...VertexID) error {
 		}
 		c.simplices[string(buf)] = f
 	}
-	c.facetCache = nil
+	c.dropCaches()
 	return nil
+}
+
+// dropCaches forgets the cached facet and simplex lists after a
+// mutation.
+func (c *Complex) dropCaches() {
+	c.facetCache, c.simplexCache = nil, nil
 }
 
 // Has reports whether the given vertex set is a simplex of the complex.
@@ -280,13 +288,22 @@ func (c *Complex) NumSimplices() int { return len(c.simplices) }
 
 // Simplices returns all simplices in a deterministic order
 // (by dimension, then lexicographically).
+//
+// The list is computed once and cached until the next mutation, like
+// Facets: every caller shares the cached slice, so callers must treat
+// it and its simplices as read-only.
 func (c *Complex) Simplices() []Simplex {
-	out := make([]Simplex, 0, len(c.simplices))
-	for _, s := range c.simplices {
-		out = append(out, s)
+	c.cacheMu.Lock()
+	defer c.cacheMu.Unlock()
+	if c.simplexCache == nil {
+		out := make([]Simplex, 0, len(c.simplices))
+		for _, s := range c.simplices {
+			out = append(out, s)
+		}
+		sortSimplices(out)
+		c.simplexCache = out
 	}
-	sortSimplices(out)
-	return out
+	return c.simplexCache
 }
 
 // Dimension returns the dimension of the complex (-1 when empty).
@@ -309,8 +326,8 @@ func (c *Complex) Dimension() int {
 // simplices as read-only; concurrent callers on a complex that is no
 // longer mutated are safe.
 func (c *Complex) Facets() []Simplex {
-	c.facetMu.Lock()
-	defer c.facetMu.Unlock()
+	c.cacheMu.Lock()
+	defer c.cacheMu.Unlock()
 	if c.facetCache == nil {
 		c.facetCache = c.computeFacets()
 	}

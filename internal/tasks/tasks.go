@@ -7,6 +7,7 @@ package tasks
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/procs"
 	"repro/internal/sc"
@@ -95,11 +96,11 @@ func KSetConsensus(n, k int) *Task {
 	var rec func(assign []int, pos int)
 	rec = func(assign []int, pos int) {
 		if pos == n {
-			distinct := map[int]bool{}
+			var distinct uint64
 			for _, v := range assign {
-				distinct[v] = true
+				distinct |= 1 << uint(v)
 			}
-			if len(distinct) <= k {
+			if bits.OnesCount64(distinct) <= k {
 				ids := make([]sc.VertexID, n)
 				for c, v := range assign {
 					ids[c] = outVertexID(n, c, v)
@@ -128,11 +129,13 @@ func KSetConsensus(n, k int) *Task {
 			return carrier.Contains(sc.VertexID(value(o)))
 		},
 		SimplexAllowed: func(_ sc.Simplex, img sc.Simplex) bool {
-			distinct := map[int]bool{}
+			// Decided values lie in [0, n) and n ≤ procs.MaxProcs, so
+			// one bit per value records the distinct decisions.
+			var decided uint64
 			for _, o := range img {
-				distinct[value(o)] = true
+				decided |= 1 << uint(value(o))
 			}
-			return len(distinct) <= k
+			return bits.OnesCount64(decided) <= k
 		},
 	}
 }
